@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,14 +135,34 @@ class PipelineConfig:
         if isinstance(current, tuple):
             if not isinstance(value, (list, tuple)) or len(value) != 3:
                 raise SchemaError(f"config key {key!r} needs a 3-element list")
-            value = tuple(float(v) for v in value)
-        elif isinstance(current, bool):
-            value = bool(value)
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
+        try:
+            if isinstance(current, tuple):
+                value = tuple(float(v) for v in value)
+            elif isinstance(current, bool):
+                value = bool(value)
+            elif isinstance(current, int):
+                value = int(value)
+            elif isinstance(current, float):
+                value = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"config key {key!r}: bad value {value!r}") from exc
         setattr(self, key, value)
+
+    def validate(self) -> None:
+        """Raise :class:`SchemaError` unless every stage accepts the values."""
+        try:
+            for f in dataclasses.fields(self):
+                value = getattr(self, f.name)
+                values = value if isinstance(value, tuple) else (value,)
+                # NaN passes every range check below, so reject it first
+                if any(isinstance(v, float) and math.isnan(v) for v in values):
+                    raise ValueError(f"{f.name} must not be NaN")
+            self.to_assembly_config()
+            self.motion_params()
+            if not self.weld_tolerance >= 0:
+                raise ValueError("weld_tolerance must be >= 0")
+        except ValueError as exc:
+            raise SchemaError(f"invalid config: {exc}") from exc
 
     def to_assembly_config(self) -> AssemblyConfig:
         return AssemblyConfig(
@@ -176,6 +197,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         except json.JSONDecodeError:
             value = raw
         cfg.apply_override(key.strip(), value)
+    cfg.validate()
     return cfg
 
 

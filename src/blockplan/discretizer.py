@@ -26,6 +26,10 @@ SAT_EPSILON = 1e-9
 # axis-aligned face and never graze shared edges of grid-aligned meshes.
 _RAY_DIR = np.array([1.2339e-4, 2.7193e-5, 1.0])
 
+# (triangle, cell) pairs per batch of the surface and interior tests; bounds
+# the temporaries at a few MB whatever the mesh and grid size
+_BATCH_PAIRS = 32768
+
 Cell = tuple[int, int, int]
 
 
@@ -148,86 +152,117 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
     """Mark every cell the surface intersects; fill the interior if watertight.
 
     The surface test is an exact triangle/box separating-axis test with a
-    1e-9 epsilon (touching counts). For manifold meshes, cells without
-    surface contact are additionally tested by casting a parity ray from the
-    cell center, which also fills enclosed cavities. Deterministic.
+    1e-9 epsilon (touching counts), run over every (triangle, cell) pair
+    with the cell inside the triangle's bounding range. For manifold
+    meshes, cells without surface contact are additionally tested by
+    casting a parity ray from the cell center, which also fills enclosed
+    cavities. Both tests run in fixed-size batches. Deterministic.
     """
     cell = spec.cell_size
     origin = np.asarray(spec.origin, dtype=np.float64)
-    dims = np.asarray(spec.dims, dtype=np.int64)
-    half = cell / 2.0
-
-    occupied: set[Cell] = set()
+    filled = np.zeros(spec.dims, dtype=bool)
     coords = mesh.triangle_coords()
-    for tri in coords:
-        lo = np.floor((tri.min(axis=0) - origin - SAT_EPSILON) / cell).astype(np.int64)
-        hi = np.floor((tri.max(axis=0) - origin + SAT_EPSILON) / cell).astype(np.int64)
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, dims - 1)
-        if np.any(hi < lo):
-            continue
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    key = (i, j, k)
-                    if key in occupied:
-                        continue
-                    center = origin + (np.array([i, j, k]) + 0.5) * cell
-                    if _triangle_box_intersect(tri, center, half):
-                        occupied.add(key)
-
-    if len(coords) and is_manifold(mesh):
-        for i in range(spec.dims[0]):
-            for j in range(spec.dims[1]):
-                for k in range(spec.dims[2]):
-                    key = (i, j, k)
-                    if key in occupied:
-                        continue
-                    center = origin + (np.array([i, j, k]) + 0.5) * cell
-                    if _point_inside(center, coords):
-                        occupied.add(key)
-
-    return OccupancyGrid(spec, frozenset(occupied))
+    if len(coords):
+        _mark_surface(coords, origin, cell, filled)
+        if is_manifold(mesh):
+            _mark_interior(coords, origin, cell, filled)
+    occupied = frozenset(map(tuple, np.argwhere(filled).tolist()))
+    return OccupancyGrid(spec, occupied)
 
 
-def _triangle_box_intersect(tri: np.ndarray, center: np.ndarray, half: float) -> bool:
-    """13-axis SAT (Akenine-Moller): 3 box normals, 1 face normal, 9 edge crosses."""
-    v = tri - center
+def _mark_surface(
+    coords: np.ndarray, origin: np.ndarray, cell: float, filled: np.ndarray
+) -> None:
+    dims = np.asarray(filled.shape, dtype=np.int64)
+    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
+    lo = np.floor((_column_min(a, b, c) - origin - SAT_EPSILON) / cell).astype(np.int64)
+    hi = np.floor((_column_max(a, b, c) - origin + SAT_EPSILON) / cell).astype(np.int64)
+    lo = np.maximum(lo, 0)
+    hi = np.minimum(hi, dims - 1)
+    span = np.maximum(hi - lo + 1, 0)
+    counts = span[:, 0] * span[:, 1] * span[:, 2]
+    ends = np.cumsum(counts)
+    # candidate pair p is cell number p - (ends[t] - counts[t]) of triangle t's range
+    for begin in range(0, int(ends[-1]), _BATCH_PAIRS):
+        pair = np.arange(begin, min(begin + _BATCH_PAIRS, int(ends[-1])))
+        tri = np.searchsorted(ends, pair, side="right")
+        local = pair - (ends[tri] - counts[tri])
+        ny, nz = span[tri, 1], span[tri, 2]
+        ijk = lo[tri] + np.stack([local // (ny * nz), local // nz % ny, local % nz], axis=1)
+        centers = origin + (ijk + 0.5) * cell
+        hit = _triangle_box_intersect(coords[tri], centers, cell / 2.0)
+        filled[tuple(ijk[hit].T)] = True
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[r], b[r])`` per row.
+
+    A stacked matmul hands each row to the same BLAS dot kernel ``np.dot``
+    uses for one pair of vectors, so the rounding (fused multiply-adds
+    included) is that of the per-pair test; a plain sum of products is not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _triangle_box_intersect(tri: np.ndarray, center: np.ndarray, half: float) -> np.ndarray:
+    """13-axis SAT (Akenine-Moller) per (triangle, box) row: 3 box normals,
+    1 face normal, 9 edge crosses. Returns the rows that intersect."""
+    v = tri - center[:, None, :]
     eps = SAT_EPSILON
+    low = _column_min(v[:, 0], v[:, 1], v[:, 2]) > half + eps
+    high = _column_max(v[:, 0], v[:, 1], v[:, 2]) < -half - eps
+    keep = ~(low | high).any(axis=1)
 
-    for axis in range(3):
-        if v[:, axis].min() > half + eps or v[:, axis].max() < -half - eps:
-            return False
-
-    edges = (v[1] - v[0], v[2] - v[1], v[0] - v[2])
+    edges = (v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2])
 
     normal = np.cross(edges[0], edges[1])
-    length = np.linalg.norm(normal)
-    if length > 0:
-        normal = normal / length
-        dist = float(np.dot(normal, v[0]))
-        radius = half * float(np.abs(normal).sum())
-        if abs(dist) > radius + eps:
-            return False
+    length = np.sqrt(_rowdot(normal, normal))
+    tilted = length > 0
+    normal = normal / np.where(tilted, length, 1.0)[:, None]
+    dist = _rowdot(normal, v[:, 0])
+    radius = half * _abs_sum(normal)
+    keep &= ~(tilted & (np.abs(dist) > radius + eps))
 
     for edge in edges:
         for axis in range(3):
             unit = np.zeros(3)
             unit[axis] = 1.0
             sep = np.cross(unit, edge)
-            length = np.linalg.norm(sep)
-            if length < 1e-12:
-                continue
-            sep = sep / length
-            proj = v @ sep
-            radius = half * float(np.abs(sep).sum())
-            if proj.min() > radius + eps or proj.max() < -radius - eps:
-                return False
-    return True
+            length = np.sqrt(_rowdot(sep, sep))
+            usable = length >= 1e-12
+            sep = sep / np.where(usable, length, 1.0)[:, None]
+            proj = np.matmul(v, sep[:, :, None])[:, :, 0]  # per-row ``v @ sep``
+            radius = half * _abs_sum(sep)
+            p0, p1, p2 = proj[:, 0], proj[:, 1], proj[:, 2]
+            separated = (_column_min(p0, p1, p2) > radius + eps) | (
+                _column_max(p0, p1, p2) < -radius - eps
+            )
+            keep &= ~(usable & separated)
+    return keep
 
 
-def _point_inside(point: np.ndarray, coords: np.ndarray) -> bool:
-    """Even-odd ray parity along the tilted ray, Moller-Trumbore per triangle."""
+def _column_min(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.minimum(np.minimum(a, b), c)
+
+
+def _column_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.maximum(np.maximum(a, b), c)
+
+
+def _abs_sum(rows: np.ndarray) -> np.ndarray:
+    """``np.abs(row).sum()`` per row, in its left-to-right order."""
+    a = np.abs(rows)
+    return a[:, 0] + a[:, 1] + a[:, 2]
+
+
+def _mark_interior(
+    coords: np.ndarray, origin: np.ndarray, cell: float, filled: np.ndarray
+) -> None:
+    """Even-odd parity of the tilted ray from each free cell center,
+    Moller-Trumbore over (cell, triangle) pairs."""
+    free = np.argwhere(~filled)
+    if not len(free):
+        return
     v0 = coords[:, 0]
     e1 = coords[:, 1] - v0
     e2 = coords[:, 2] - v0
@@ -235,11 +270,22 @@ def _point_inside(point: np.ndarray, coords: np.ndarray) -> bool:
     det = np.einsum("ij,ij->i", e1, h)
     ok = np.abs(det) > 1e-12
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    s = point - v0
-    u = inv * np.einsum("ij,ij->i", s, h)
-    q = np.cross(s, e1)
-    view = inv * (q @ _RAY_DIR)
-    t = inv * np.einsum("ij,ij->i", e2, q)
     tol = 1e-12
-    hits = ok & (u >= -tol) & (view >= -tol) & (u + view <= 1.0 + tol) & (t > tol)
-    return bool(hits.sum() % 2 == 1)
+
+    n = len(coords)
+    per_batch = min(len(free), max(1, _BATCH_PAIRS // n))
+    # per-pair copies of the per-triangle terms, laid out as one cell's rows
+    # repeated, so each product below sees the operands of a single-cell call
+    h_rows, e1_rows, e2_rows = (np.tile(x, (per_batch, 1)) for x in (h, e1, e2))
+    for begin in range(0, len(free), per_batch):
+        cells = free[begin:begin + per_batch]
+        rows = len(cells) * n
+        s = ((origin + (cells + 0.5) * cell)[:, None, :] - v0).reshape(rows, 3)
+        u = np.einsum("ij,ij->i", s, h_rows[:rows]).reshape(-1, n)
+        q = np.cross(s, e1_rows[:rows])
+        view = inv * (q.reshape(-1, n, 3) @ _RAY_DIR)
+        t = np.einsum("ij,ij->i", e2_rows[:rows], q).reshape(-1, n)
+        u, t = inv * u, inv * t
+        hits = ok & (u >= -tol) & (view >= -tol) & (u + view <= 1.0 + tol) & (t > tol)
+        inside = hits.sum(axis=1) % 2 == 1
+        filled[tuple(cells[inside].T)] = True

@@ -214,6 +214,7 @@ def rescale_until_fits(
     cell_size: float,
     workspace: Workspace,
     max_scale: float | None = 1.0,
+    grid: OccupancyGrid | None = None,
 ) -> tuple[OccupancyGrid, float, int]:
     """Shrink the design until it voxelizes to at most the inventory.
 
@@ -221,9 +222,14 @@ def rescale_until_fits(
     (L - cell) / L where L is the current longest bounding-box edge, which
     shaves exactly one cell off the longest axis per iteration. Returns the
     final grid, the cumulative scale (fit included) and the iteration count.
+
+    ``grid``, if given, must be ``mesh`` voxelized on its own bounding grid
+    at ``cell_size``; it stands in for the first voxelization when fitting
+    leaves the vertices bit for bit unchanged (an already fitted mesh).
     """
     fitted, scale = fit_to_workspace(mesh, workspace, max_scale)
-    grid = voxelize(fitted, build_grid(bounding_box(fitted), cell_size))
+    if grid is None or fitted.vertices.tobytes() != mesh.vertices.tobytes():
+        grid = voxelize(fitted, build_grid(bounding_box(fitted), cell_size))
     iterations = 0
     while len(grid.occupied) > inventory.available_components:
         box = bounding_box(fitted)
@@ -280,6 +286,7 @@ def run_feasibility(
                 config.cell_size,
                 config.workspace,
                 config.max_upscale,
+                grid,
             )
             modifications.append(
                 {"action": "rescale", "iterations": iterations, "scale": scale}

@@ -7,17 +7,28 @@ step that welds vertices, drops junk triangles and unifies windings.
 from __future__ import annotations
 
 import struct
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyMesh, MalformedFile, UnsupportedFormat
 
 DEFAULT_WELD_TOLERANCE = 1e-4  # cm; far below the component scale
 DEGENERATE_AREA = 1e-9  # cm^2; triangles thinner than this are dropped
+
+# Weld hash grid: cell indices of up to 20 bits per axis, shifted by one so
+# the -1 neighbour offsets stay non-negative, pack into one int64 key.
+_WELD_CELL_BITS = 20
+_WELD_RADIX = (1 << _WELD_CELL_BITS) + 3
+# the own cell first, then the 13 neighbours that follow it in key order
+_WELD_OFFSETS = tuple(
+    (dx * _WELD_RADIX + dy) * _WELD_RADIX + dz
+    for dx in (0, 1)
+    for dy in ((0, 1) if dx == 0 else (-1, 0, 1))
+    for dz in ((0, 1) if dx == dy == 0 else (-1, 0, 1))
+)
 
 _BINARY_STL_HEADER = 80
 _BINARY_STL_RECORD = 50
@@ -134,10 +145,14 @@ def parse_mesh(data: bytes, format_hint: MeshFormat | str | None = None) -> Tria
         raise MalformedFile("empty input")
     fmt = _resolve_format(data, format_hint)
     if fmt is MeshFormat.STL_ASCII:
-        return _parse_stl_ascii(data)
-    if fmt is MeshFormat.STL_BINARY:
-        return _parse_stl_binary(data)
-    return _parse_obj(data)
+        mesh = _parse_stl_ascii(data)
+    elif fmt is MeshFormat.STL_BINARY:
+        mesh = _parse_stl_binary(data)
+    else:
+        mesh = _parse_obj(data)
+    if not np.isfinite(mesh.vertices).all():
+        raise MalformedFile("vertex coordinates must be finite (NaN or inf found)")
+    return mesh
 
 
 def _resolve_format(data: bytes, hint: MeshFormat | str | None) -> MeshFormat:
@@ -380,8 +395,11 @@ def repair_mesh(
 
     duplicates = 0
     if len(tris):
-        keys = np.sort(tris, axis=1)
-        _, first = np.unique(keys, axis=0, return_index=True)
+        a, b, c = np.sort(tris, axis=1).T
+        order = np.lexsort((c, b, a))  # stable: each group starts at its first triangle
+        a, b, c = a[order], b[order], c[order]
+        new = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (c[1:] != c[:-1])]
+        first = order[new]
         duplicates = len(tris) - len(first)
         tris = tris[np.sort(first)]
 
@@ -406,25 +424,11 @@ def repair_mesh(
 def _weld(
     verts: np.ndarray, tris: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    pairs = cKDTree(verts).query_pairs(tolerance, output_type="ndarray")
-    if not len(pairs):
+    first, second = _close_pairs(verts, tolerance)
+    if not len(first):
         return verts, tris, 0
-    parent = np.arange(len(verts))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            # smaller index wins so the first occurrence keeps its coordinates
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
-    roots = np.array([find(i) for i in range(len(verts))])
+    # the smallest index of each cluster keeps its coordinates
+    roots = _component_minima(len(verts), first, second)
     reps = np.unique(roots)
     new_index = np.full(len(verts), -1, dtype=np.int64)
     new_index[reps] = np.arange(len(reps))
@@ -432,52 +436,142 @@ def _weld(
     return verts[reps], mapped[tris] if len(tris) else tris, len(verts) - len(reps)
 
 
+def _close_pairs(verts: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs whose squared distance is at most ``tolerance**2``.
+
+    A spatial hash: cells are at least twice the tolerance wide, so a close
+    pair shares a cell or sits in face/edge/corner-adjacent cells. Each
+    unordered pair of occupied cells is visited once, through the own cell
+    plus 13 half-neighbour offsets looked up with ``searchsorted`` among the
+    sorted cell keys.
+    """
+    lo = verts.min(axis=0)
+    hi = verts.max(axis=0)
+    limit = float(1 << _WELD_CELL_BITS)
+    # at most 2**20 cells per axis, so three shifted indices pack in an int64
+    size = max(2.0 * tolerance, float((hi / limit - lo / limit).max()))
+    cells = np.fmin(np.floor((verts - lo) / size), limit).astype(np.int64) + 1
+    keys = (cells[:, 0] * _WELD_RADIX + cells[:, 1]) * _WELD_RADIX + cells[:, 2]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    # occupied cells, each a run [begin, end) of positions in sorted order
+    begin = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    end = np.r_[begin[1:], len(keys)]
+    cell_keys = sorted_keys[begin]
+    cell_of = np.repeat(np.arange(len(begin)), end - begin)
+    positions = np.arange(len(keys))
+
+    firsts, seconds = [positions[:0]], [positions[:0]]
+    for offset in _WELD_OFFSETS:
+        if offset == 0:
+            start, stop = positions + 1, end[cell_of]  # later members of the own cell
+        else:
+            target = cell_keys + offset
+            found = np.minimum(np.searchsorted(cell_keys, target), len(cell_keys) - 1)
+            occupied = cell_keys[found] == target
+            if not occupied.any():
+                continue
+            start = np.where(occupied, begin[found], 0)[cell_of]
+            stop = np.where(occupied, end[found], 0)[cell_of]
+        counts = stop - start
+        total = int(counts.sum())
+        if not total:
+            continue
+        firsts.append(np.repeat(positions, counts))
+        seconds.append(np.arange(total) - np.repeat(np.cumsum(counts) - counts - start, counts))
+    first = order[np.concatenate(firsts)]
+    second = order[np.concatenate(seconds)]
+    d = verts[first] - verts[second]
+    close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= tolerance * tolerance
+    return first[close], second[close]
+
+
+def _component_minima(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Smallest vertex index of each vertex's component in the pair graph.
+
+    Min-label propagation over the pairs with pointer jumping; labels only
+    shrink and always name a vertex of the same component, so the fixpoint
+    is the component minimum.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[first], label[second])
+        update = label.copy()
+        np.minimum.at(update, first, low)
+        np.minimum.at(update, second, low)
+        update = update[update]
+        if np.array_equal(update, label):
+            return label
+        label = update
+
+
+def _edge_keys(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
+    """One int64 per undirected edge of vertex indices below ``n``."""
+    return np.minimum(heads, tails) * n + np.maximum(heads, tails)
+
+
 def _unify_windings(tris: np.ndarray) -> tuple[np.ndarray, int]:
     """Flip triangles so manifold edges are traversed in opposite directions.
 
     Works per connected component; edges shared by anything other than
-    exactly two triangles are skipped.
+    exactly two triangles are skipped. The breadth-first search visits the
+    edges of each triangle in its current winding, so the flipped set is
+    well defined on non-orientable input too.
     """
-    tris = tris.copy()
-    edge_owners: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for t, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_owners[(min(u, v), max(u, v))].append(t)
+    m = len(tris)
+    heads = tris.reshape(-1)  # directed edge 3t+s runs heads -> tails
+    tails = tris[:, [1, 2, 0]].reshape(-1)
+    keys = _edge_keys(heads, tails, int(tris.max()) + 1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    sizes = np.diff(np.r_[starts, len(keys)])
+    pairs = starts[sizes == 2]
+    edge_a, edge_b = order[pairs], order[pairs + 1]
+    same_direction = heads[edge_a] == heads[edge_b]
+    neighbour = np.full(3 * m, -1, dtype=np.int64)
+    neighbour[edge_a] = edge_b // 3
+    neighbour[edge_b] = edge_a // 3
+    agrees = np.zeros(3 * m, dtype=bool)
+    agrees[edge_a] = same_direction
+    agrees[edge_b] = same_direction
+    if not agrees.any():
+        return tris, 0  # consistently wound already: the search flips nothing
 
-    def directed_edges(t: int) -> tuple[tuple[int, int], ...]:
-        a, b, c = tris[t]
-        return ((a, b), (b, c), (c, a))
-
-    flipped = 0
-    seen = np.zeros(len(tris), dtype=bool)
-    for seed in range(len(tris)):
+    neighbours = neighbour.reshape(m, 3).tolist()
+    agreements = agrees.reshape(m, 3).tolist()
+    flip = [False] * m
+    seen = [False] * m
+    for seed in range(m):
         if seen[seed]:
             continue
         seen[seed] = True
         queue = deque([seed])
         while queue:
             t = queue.popleft()
-            for u, v in directed_edges(t):
-                owners = edge_owners[(min(u, v), max(u, v))]
-                if len(owners) != 2:
+            flipped_t = flip[t]
+            row, agree = neighbours[t], agreements[t]
+            # reversing (a, b, c) to (c, b, a) walks slots 1, 0, 2 backwards
+            for slot in (1, 0, 2) if flipped_t else (0, 1, 2):
+                other = row[slot]
+                if other < 0 or seen[other]:
                     continue
-                other = owners[0] if owners[1] == t else owners[1]
-                if seen[other]:
-                    continue
-                if (u, v) in directed_edges(other):
-                    tris[other] = tris[other][::-1]
-                    flipped += 1
+                if agree[slot] != flipped_t:
+                    flip[other] = True
                 seen[other] = True
                 queue.append(other)
-    return tris, flipped
+    flip_mask = np.array(flip, dtype=bool)
+    tris = tris.copy()
+    tris[flip_mask] = tris[flip_mask, ::-1]
+    return tris, int(flip_mask.sum())
 
 
 def _is_manifold_triangles(tris: np.ndarray) -> bool:
     """Closed 2-manifold test: every edge belongs to exactly two triangles."""
     if not len(tris):
         return False
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
+    keys = _edge_keys(tris.reshape(-1), tris[:, [1, 2, 0]].reshape(-1), int(tris.max()) + 1)
+    _, counts = np.unique(keys, return_counts=True)
     return bool((counts == 2).all())
 
 

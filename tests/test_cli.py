@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import box_mesh
 from tests.conftest import make_grid
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PIPELINE_ARTIFACTS = ("grid.json", "report.json", "sequence.json", "toolpath.json", "summary.txt")
 
 
@@ -214,6 +218,13 @@ def test_malformed_mesh_file(tmp_path):
     assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == EXIT_MALFORMED_FILE
 
 
+def test_non_finite_vertex_mesh_file(tmp_path):
+    bad = tmp_path / "nan.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 nan 0\nf 1 2 3\n")
+    code = main(["pipeline", "--mesh", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_MALFORMED_FILE
+
+
 def test_unrecognizable_mesh_file(tmp_path):
     bad = tmp_path / "bad.xyz"
     bad.write_bytes(b"garbage")
@@ -282,6 +293,37 @@ def test_config_file_rejects_bad_documents(tmp_path):
     assert main(["filter", "--text", "a box", "--config", str(not_object)]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "inventory=0",
+        'inventory="abc"',
+        "cell_size=-1",
+        "workspace=[0,1,1]",
+        "velocity=0",
+        "cell_size=NaN",
+        "weld_tolerance=-1",
+    ],
+)
+def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
+    code = main([
+        "pipeline", "--mesh", demo_mesh_files["tee"],
+        "--set", override, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_rejects_bad_values(demo_mesh_files, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inventory": 0}))
+    code = main([
+        "check", "--mesh", demo_mesh_files["tee"],
+        "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_SCHEMA
+
+
 def test_config_tuple_override_shape():
     cfg = PipelineConfig()
     cfg.apply_override("workspace", [30, 30, 30])
@@ -296,3 +338,21 @@ def test_argparse_usage_errors():
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
         main(["pipeline"])  # needs --mesh or --text
+
+
+def test_cli_runs_without_scipy(demo_mesh_files, tmp_path):
+    # scipy is a test-only dependency: neither the import nor a plan needs it
+    script = (
+        "import sys\n"
+        "import blockplan.cli\n"
+        "assert blockplan.cli.main(sys.argv[1:]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    argv = ["pipeline", "--mesh", demo_mesh_files["tee"], "--out-dir", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

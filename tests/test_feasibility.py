@@ -7,9 +7,10 @@ import random
 
 import pytest
 
+from blockplan import feasibility
 from blockplan.checks import CheckKind, CheckStatus
 from blockplan.config import AssemblyConfig, Inventory
-from blockplan.discretizer import Workspace
+from blockplan.discretizer import Workspace, voxelize
 from blockplan.errors import CannotFit, EmptyAssembly
 from blockplan.feasibility import (
     FeasibilityReport,
@@ -245,6 +246,20 @@ def test_orchestrator_oversized_block(demo_meshes, config):
     assert report.modifications[0]["scale"] == pytest.approx(0.5, rel=1e-12)
     assert report.final_component_count == len(grid.occupied) == 27
     assert all_checks_pass(grid, config)
+
+
+def test_block_demo_voxelizes_once_per_rescale_iteration(demo_meshes, config, monkeypatch):
+    calls = []
+
+    def counting_voxelize(mesh, spec):
+        calls.append(spec)
+        return voxelize(mesh, spec)
+
+    monkeypatch.setattr(feasibility, "voxelize", counting_voxelize)
+    _, report = run_feasibility(demo_meshes["block"], config)
+    iterations = report.modifications[0]["iterations"]
+    assert iterations == 3
+    assert len(calls) == 1 + iterations
 
 
 def test_orchestrator_shelf(demo_meshes, config):

@@ -96,6 +96,28 @@ def test_parse_obj_rejects_malformed(data):
         parse_mesh(data, "obj")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_obj_vertex(value):
+    data = f"v 0 0 0\nv 1 0 0\nv 0 {value} 0\nf 1 2 3\n".encode()
+    with pytest.raises(MalformedFile):
+        parse_mesh(data, "obj")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_ascii_stl_vertex(value):
+    data = ONE_TRIANGLE_ASCII.replace(b"vertex 1.0 0.0 0.0", f"vertex 1.0 {value} 0.0".encode())
+    with pytest.raises(MalformedFile):
+        parse_mesh(data)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_parse_rejects_non_finite_binary_stl_vertex(value):
+    coords = box_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)).triangle_coords()
+    coords[4, 1, 2] = value
+    with pytest.raises(MalformedFile):
+        parse_mesh(_binary_stl(coords), MeshFormat.STL_BINARY)
+
+
 def test_parse_truncated_binary_stl():
     coords = box_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)).triangle_coords()
     blob = _binary_stl(coords)

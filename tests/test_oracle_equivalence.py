@@ -1,0 +1,196 @@
+"""The numpy weld, winding and voxelization against the scalar oracles.
+
+Every case compares exactly: repaired vertices and triangles, the repair
+summary, and the occupied cells of the fitted mesh. Cases are seeded and
+cover cell designs, jittered and duplicated triangle soups, open spheres
+and randomly flipped Moebius strips at several cell sizes, plus the four
+demo meshes and icospheres.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from blockplan.discretizer import Workspace, build_grid, fit_to_workspace, voxelize
+from blockplan.mesh_io import (
+    DEFAULT_WELD_TOLERANCE,
+    TriangleMesh,
+    _is_manifold_triangles,
+    bounding_box,
+    repair_mesh,
+)
+from blockplan.shapes import (
+    box_mesh,
+    cell_design_mesh,
+    combine_meshes,
+    icosphere,
+    oversized_block_mesh,
+    shelf_mesh,
+    table_mesh,
+    tee_mesh,
+)
+from tests import oracles
+
+CELL_SIZES = (2.5, 5.0, 10.0)
+# small enough that the scalar oracle stays fast at 2.5 cm cells
+WORKSPACE = Workspace((25.0, 20.0, 25.0))
+
+
+def as_soup(mesh: TriangleMesh, rng: np.random.Generator, flip: float) -> TriangleMesh:
+    """Unwelded triangles in shuffled order, a ``flip`` share reversed."""
+    coords = mesh.triangle_coords()[rng.permutation(mesh.triangle_count)]
+    reverse = rng.random(len(coords)) < flip
+    coords[reverse] = coords[reverse, ::-1]
+    tris = np.arange(3 * len(coords), dtype=np.int64).reshape(-1, 3)
+    return TriangleMesh(coords.reshape(-1, 3), tris)
+
+
+def random_design(rng: np.random.Generator) -> TriangleMesh:
+    cuboids = []
+    for _ in range(int(rng.integers(1, 5))):
+        lo = [int(rng.integers(0, d)) for d in (5, 4, 5)]
+        hi = [lo[a] + int(rng.integers(0, 3)) for a in range(3)]
+        cuboids.append((tuple(lo), tuple(hi)))
+    mesh = cell_design_mesh(cuboids, cell_size=5.0, margin=float(rng.uniform(0.05, 1.0)))
+    return as_soup(mesh, rng, flip=0.3)
+
+
+def jittered_soup(rng: np.random.Generator) -> TriangleMesh:
+    """Shape soup with vertices moved up to 1.5 weld tolerances and some
+    triangles repeated, so some copies weld and some do not."""
+    base = icosphere(float(rng.uniform(4.0, 10.0)), (10.0, 10.0, 10.0), int(rng.integers(0, 3)))
+    if rng.random() < 0.5:
+        base = combine_meshes([base, box_mesh((0.0, 0.0, 0.0), tuple(rng.uniform(2.0, 8.0, 3)))])
+    soup = as_soup(base, rng, flip=0.2)
+    coords = soup.triangle_coords()
+    repeat = rng.random(len(coords)) < 0.1
+    coords = np.concatenate([coords, coords[repeat][:, rng.permutation(3)]])
+    flat = coords.reshape(-1, 3)
+    scale = 1.5 * DEFAULT_WELD_TOLERANCE / np.sqrt(3.0)
+    flat = flat + rng.uniform(-scale, scale, flat.shape) * (rng.random((len(flat), 1)) < 0.5)
+    tris = np.arange(len(flat), dtype=np.int64).reshape(-1, 3)
+    return TriangleMesh(flat, tris)
+
+
+def open_sphere(rng: np.random.Generator) -> TriangleMesh:
+    sphere = icosphere(float(rng.uniform(5.0, 11.0)), (12.0, 12.0, 12.0), int(rng.integers(1, 3)))
+    keep = np.ones(sphere.triangle_count, dtype=bool)
+    keep[rng.choice(sphere.triangle_count, int(rng.integers(1, 6)), replace=False)] = False
+    return as_soup(TriangleMesh(sphere.vertices, sphere.triangles[keep]), rng, flip=0.3)
+
+
+def moebius_strip(rng: np.random.Generator) -> TriangleMesh:
+    """Triangulated Moebius band, one to three quads wide: non-orientable,
+    so winding unification cannot succeed and the flipped set depends on
+    the order in which the search visits each triangle's edges."""
+    n, rows = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+    radius, width = float(rng.uniform(5.0, 10.0)), float(rng.uniform(1.0, 4.0))
+    angle = 2.0 * np.pi * np.arange(n)[:, None] / n
+    w = np.linspace(-width / 2.0, width / 2.0, rows + 1)[None, :]
+    ring = radius + w * np.cos(angle / 2.0)
+    verts = np.stack(
+        [ring * np.cos(angle), ring * np.sin(angle), w * np.sin(angle / 2.0)], axis=-1
+    ).reshape(-1, 3) + radius + width
+
+    def index(i: int, r: int) -> int:
+        # the half twist joins row r at the seam to row (rows - r) at the start
+        return r + (rows + 1) * i if i < n else rows - r
+
+    tris = []
+    for i in range(n):
+        for r in range(rows):
+            a, b = index(i, r), index(i, r + 1)
+            c, d = index(i + 1, r), index(i + 1, r + 1)
+            tris += [(a, c, b), (b, c, d)]
+    strip = TriangleMesh(verts, np.array(tris, dtype=np.int64))
+    return as_soup(strip, rng, flip=0.5)
+
+
+FAMILIES = {
+    "design": random_design,
+    "jitter": jittered_soup,
+    "open": open_sphere,
+    "moebius": moebius_strip,
+}
+
+
+def assert_same_repair(mesh: TriangleMesh) -> TriangleMesh:
+    ours = repair_mesh(mesh)
+    theirs = oracles.repair_mesh(mesh)
+    np.testing.assert_array_equal(ours.vertices, theirs.vertices)
+    np.testing.assert_array_equal(ours.triangles, theirs.triangles)
+    assert ours.repair.to_dict() == theirs.repair.to_dict()
+    return ours
+
+
+def assert_same_grid(mesh: TriangleMesh, cell: float, workspace: Workspace) -> None:
+    fitted, _ = fit_to_workspace(mesh, workspace)
+    spec = build_grid(bounding_box(fitted), cell)
+    assert voxelize(fitted, spec).occupied == oracles.voxelize(fitted, spec).occupied
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_random_cases_match_oracle(family, seed):
+    rng = np.random.default_rng([seed, sorted(FAMILIES).index(family)])
+    mesh = FAMILIES[family](rng)
+    repaired = assert_same_repair(mesh)
+    assert_same_grid(repaired, CELL_SIZES[seed % 3], WORKSPACE)
+
+
+@pytest.mark.parametrize(
+    "make", [oversized_block_mesh, shelf_mesh, tee_mesh, table_mesh], ids=lambda f: f.__name__
+)
+def test_demo_meshes_match_oracle(make):
+    rng = np.random.default_rng(7)
+    mesh = make()
+    repaired = assert_same_repair(as_soup(mesh, rng, flip=0.25))
+    assert_same_repair(mesh)
+    assert_same_grid(repaired, 10.0, Workspace())
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_icospheres_match_oracle(subdivisions):
+    rng = np.random.default_rng(subdivisions)
+    sphere = icosphere(14.0, (20.0, 20.0, 20.0), subdivisions)
+    repaired = assert_same_repair(as_soup(sphere, rng, flip=0.1))
+    for cell in CELL_SIZES[1:]:
+        assert_same_grid(repaired, cell, Workspace())
+
+
+def test_moebius_windings_match_oracle():
+    # which triangles end up flipped on a non-orientable band turns on the
+    # exact visit order, and only some bands expose a wrong order
+    for seed in range(150):
+        assert_same_repair(moebius_strip(np.random.default_rng([seed, 99])))
+
+
+def test_manifold_test_matches_oracle():
+    rng = np.random.default_rng(3)
+    for family in sorted(FAMILIES):
+        tris = repair_mesh(FAMILIES[family](rng), weld_tolerance=1e-3).triangles
+        assert _is_manifold_triangles(tris) == oracles.is_manifold_triangles(tris)
+
+
+def test_weld_of_coincident_copies_matches_oracle():
+    # a tolerance far below the spacing: only exact copies (distance zero) weld
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.0, 5.0, (40, 3))
+    verts = points[rng.integers(0, 40, 400)]
+    tris = np.arange(399, dtype=np.int64).reshape(-1, 3)
+    ours = repair_mesh(TriangleMesh(verts[:399], tris), weld_tolerance=1e-12)
+    theirs = oracles.repair_mesh(TriangleMesh(verts[:399], tris), weld_tolerance=1e-12)
+    np.testing.assert_array_equal(ours.vertices, theirs.vertices)
+    np.testing.assert_array_equal(ours.triangles, theirs.triangles)
+    assert ours.repair == theirs.repair
+
+
+def test_weld_pair_at_exactly_the_tolerance_matches_oracle():
+    # squared distance equal to tolerance**2 in float64 counts as close
+    verts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.75]])
+    tris = np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int64)
+    for tolerance in (0.5, 0.25, 0.4999999):
+        ours = repair_mesh(TriangleMesh(verts, tris), weld_tolerance=tolerance)
+        theirs = oracles.repair_mesh(TriangleMesh(verts, tris), weld_tolerance=tolerance)
+        np.testing.assert_array_equal(ours.vertices, theirs.vertices)
+        assert ours.repair == theirs.repair
