@@ -14,7 +14,7 @@ The pipeline stages, in order:
 from __future__ import annotations
 
 from .checks import CheckKind, CheckResult, CheckStatus
-from .config import AssemblyConfig, Inventory
+from .config import AssemblyConfig
 from .discretizer import (
     DEFAULT_CELL_SIZE,
     GridSpec,
@@ -116,7 +116,6 @@ __all__ = [
     "FeasibilityReport",
     "GridSpec",
     "GuidedPrompt",
-    "Inventory",
     "LanguageModelClient",
     "MalformedFile",
     "MeshFormat",

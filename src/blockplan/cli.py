@@ -8,31 +8,14 @@ deterministic, so re-running a command reproduces its artifacts bit for bit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .config import (
-    DEFAULT_CLEARANCE,
-    DEFAULT_INVENTORY,
-    DEFAULT_MOVEMENT_PLANE_Z,
-    DEFAULT_OVERHANG_LIMIT,
-    DEFAULT_SOURCE,
-    DEFAULT_STACK_LIMIT,
-    AssemblyConfig,
-    Inventory,
-)
-from .discretizer import (
-    DEFAULT_CELL_SIZE,
-    OccupancyGrid,
-    Workspace,
-    build_grid,
-    fit_to_workspace,
-    voxelize,
-)
+import numpy as np
+
+from .config import AssemblyConfig
+from .discretizer import OccupancyGrid, build_grid, fit_to_workspace, voxelize
 from .errors import (
     BlockplanError,
     CannotFit,
@@ -49,15 +32,15 @@ from .errors import (
 )
 from .feasibility import run_feasibility
 from .frontend import MockMeshGenerator, Rejection, acquire_mesh, fallback_filter
-from .mesh_io import (
-    DEFAULT_WELD_TOLERANCE,
-    TriangleMesh,
-    bounding_box,
-    parse_mesh,
-    repair_mesh,
-)
+from .mesh_io import TriangleMesh, bounding_box, parse_mesh, repair_mesh
 from .sequencer import AssemblySequence, connectivity_sort
-from .toolpath import MotionParams, emit_toolpath, estimate_duration, plan_toolpath
+from .toolpath import (
+    MotionParams,
+    Toolpath,
+    emit_toolpath,
+    estimate_duration,
+    plan_toolpath,
+)
 from .validator import simulate_assembly, verify_report_consistency
 
 EXIT_OK = 0
@@ -91,128 +74,24 @@ _ERROR_EXIT_CODES: dict[type, int] = {
 }
 
 
-@dataclass
-class PipelineConfig:
-    """Flat, file-loadable view of every tunable the CLI exposes."""
-
-    workspace: tuple[float, float, float] = (60.0, 50.0, 60.0)
-    cell_size: float = DEFAULT_CELL_SIZE
-    inventory: int = DEFAULT_INVENTORY
-    overhang_limit: int = DEFAULT_OVERHANG_LIMIT
-    stack_limit: int = DEFAULT_STACK_LIMIT
-    source: tuple[float, float, float] = DEFAULT_SOURCE
-    movement_plane_z: float = DEFAULT_MOVEMENT_PLANE_Z
-    clearance: float = DEFAULT_CLEARANCE
-    tool_offset_z: float = 0.0
-    velocity: float = 2.0  # mm/s, calibrated operating point
-    acceleration: float = 1.0  # mm/s^2
-    gripper_dwell_s: float = 0.5
-    motion_unit_scale: float = 1.0
-    mesh_unit_scale: float = 1.0  # mesh file units -> cm
-    max_upscale: float = 1.0
-    weld_tolerance: float = DEFAULT_WELD_TOLERANCE
-    client_timeout_s: float = 30.0
-    mesh_manifest: str | None = None
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
+def _load_config(args: argparse.Namespace) -> AssemblyConfig:
+    values = {}
+    if args.config:
         try:
-            raw = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot load config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise SchemaError(f"config {path} must be a JSON object")
-        cfg = cls()
-        for key, value in raw.items():
-            cfg.apply_override(key, value)
-        return cfg
-
-    def apply_override(self, key: str, value) -> None:
-        names = {f.name: f for f in dataclasses.fields(self)}
-        if key not in names:
-            raise SchemaError(f"unknown config key {key!r}")
-        current = getattr(self, key)
-        if isinstance(current, tuple):
-            if not isinstance(value, (list, tuple)) or len(value) != 3:
-                raise SchemaError(f"config key {key!r} needs a 3-element list")
-        try:
-            if isinstance(current, tuple):
-                value = tuple(float(v) for v in value)
-            elif isinstance(current, bool):
-                value = bool(value)
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"config key {key!r}: bad value {value!r}") from exc
-        setattr(self, key, value)
-
-    def validate(self) -> None:
-        """Raise :class:`SchemaError` unless every stage accepts the values."""
-        try:
-            for f in dataclasses.fields(self):
-                value = getattr(self, f.name)
-                values = value if isinstance(value, tuple) else (value,)
-                # NaN passes every range check below, so reject it first
-                if any(isinstance(v, float) and math.isnan(v) for v in values):
-                    raise ValueError(f"{f.name} must not be NaN")
-            self.to_assembly_config()
-            self.motion_params()
-            if not self.weld_tolerance >= 0:
-                raise ValueError("weld_tolerance must be >= 0")
-        except ValueError as exc:
-            raise SchemaError(f"invalid config: {exc}") from exc
-
-    def to_assembly_config(self) -> AssemblyConfig:
-        return AssemblyConfig(
-            workspace=Workspace(self.workspace),
-            cell_size=self.cell_size,
-            inventory=Inventory(self.inventory),
-            source=self.source,
-            movement_plane_z=self.movement_plane_z,
-            clearance=self.clearance,
-            overhang_limit=self.overhang_limit,
-            stack_limit=self.stack_limit,
-            tool_offset_z=self.tool_offset_z,
-            max_upscale=self.max_upscale,
-        )
-
-    def motion_params(self) -> MotionParams:
-        return MotionParams(self.velocity, self.acceleration)
-
-
-def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = (
-        PipelineConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else PipelineConfig()
-    )
-    for item in getattr(args, "set", None) or []:
+            values = json.loads(Path(args.config).read_text("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise SchemaError(f"cannot load config {args.config}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise SchemaError(f"config {args.config} must be a JSON object")
+    for item in args.set or []:
         if "=" not in item:
             raise SchemaError(f"--set needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            values[key.strip()] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        cfg.apply_override(key.strip(), value)
-    cfg.validate()
-    return cfg
-
-
-def _load_mesh(path: Path, cfg: PipelineConfig) -> TriangleMesh:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    hint = path.suffix.lstrip(".").lower() or None
-    if hint not in ("stl", "obj"):
-        hint = None
-    mesh = parse_mesh(data, hint)
-    if cfg.mesh_unit_scale != 1.0:
-        mesh = mesh.with_vertices(mesh.vertices * cfg.mesh_unit_scale)
-    return mesh
+            values[key.strip()] = raw
+    return AssemblyConfig.from_mapping(values)
 
 
 def _write(out_dir: Path, name: str, data: bytes) -> Path:
@@ -222,21 +101,48 @@ def _write(out_dir: Path, name: str, data: bytes) -> Path:
     return path
 
 
-def _obtain_mesh(args: argparse.Namespace, cfg: PipelineConfig) -> tuple[TriangleMesh, str]:
-    """Mesh plus a short human-readable provenance string for the summary."""
+def _write_toolpath(out_dir: Path, path: Toolpath, fmt: str) -> Path:
+    name = "toolpath.txt" if fmt == "robot_script" else "toolpath.json"
+    return _write(out_dir, name, emit_toolpath(path, fmt))
+
+
+def _fitted_mesh(
+    args: argparse.Namespace, cfg: AssemblyConfig
+) -> tuple[TriangleMesh, float, TriangleMesh, TriangleMesh, str]:
+    """Obtain the input mesh, scale it to cm, repair it and fit it.
+
+    Returns the fitted mesh and its fit scale, then the repaired and the
+    raw mesh and a short provenance string for the summary.
+    """
     if getattr(args, "mesh", None):
-        return _load_mesh(Path(args.mesh), cfg), f"mesh file {args.mesh}"
-    result = fallback_filter(args.text)
-    if isinstance(result, Rejection):
-        raise _RejectedRequest(result)
-    manifest = getattr(args, "mesh_manifest", None) or cfg.mesh_manifest
-    if not manifest:
-        raise ClientUnavailable(
-            "text input needs a mesh source: pass --mesh-manifest or configure one"
-        )
-    generator = MockMeshGenerator.from_file(manifest)
-    mesh = acquire_mesh(result, generator)
-    return mesh, f'phrase "{result.extracted_phrase}" from text input'
+        path = Path(args.mesh)
+        hint = path.suffix.lstrip(".").lower()
+        try:  # the file bytes are freed once parsed, before repair
+            mesh = parse_mesh(path.read_bytes(), hint if hint in ("stl", "obj") else None)
+        except OSError as exc:
+            raise MalformedFile(f"cannot read {path}: {exc}") from exc
+        provenance = f"mesh file {args.mesh}"
+    else:
+        request = fallback_filter(args.text)
+        if isinstance(request, Rejection):
+            raise _RejectedRequest(request)
+        manifest = args.mesh_manifest or cfg.mesh_manifest
+        if not manifest:
+            raise ClientUnavailable(
+                "text input needs a mesh source: pass --mesh-manifest or configure one"
+            )
+        mesh = acquire_mesh(request, MockMeshGenerator.from_file(manifest))
+        provenance = f'phrase "{request.extracted_phrase}" from text input'
+    if cfg.mesh_unit_scale != 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh = mesh.with_vertices(mesh.vertices * cfg.mesh_unit_scale)
+        if not np.isfinite(mesh.vertices).all():
+            raise ConfigViolation(
+                f"mesh_unit_scale {cfg.mesh_unit_scale!r} overflows the vertices"
+            )
+    repaired = repair_mesh(mesh, cfg.weld_tolerance)
+    fitted, fit_scale = fit_to_workspace(repaired, cfg.workspace, cfg.max_upscale)
+    return fitted, fit_scale, repaired, mesh, provenance
 
 
 class _RejectedRequest(Exception):
@@ -248,32 +154,21 @@ class _RejectedRequest(Exception):
 # --- subcommands ---------------------------------------------------------
 
 
-def _cmd_pipeline(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     out_dir = Path(args.out_dir)
-    assembly = cfg.to_assembly_config()
-
-    mesh, provenance = _obtain_mesh(args, cfg)
-    raw_vertices, raw_triangles = mesh.vertex_count, mesh.triangle_count
-    repaired = repair_mesh(mesh, cfg.weld_tolerance)
-    fitted, fit_scale = fit_to_workspace(
-        repaired, assembly.workspace, assembly.max_upscale
-    )
-
+    fitted, fit_scale, repaired, raw, provenance = _fitted_mesh(args, cfg)
     grid, report = run_feasibility(
-        fitted, assembly, failure_handling=not args.no_failure_handling
+        fitted, cfg, failure_handling=not args.no_failure_handling
     )
     seq = connectivity_sort(grid)
-    path = plan_toolpath(seq, grid, assembly, cfg.motion_params())
-    sim = simulate_assembly(seq, grid, assembly)
-    consistent = verify_report_consistency(report, grid, assembly)
+    path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
+    sim = simulate_assembly(seq, grid, cfg)
+    consistent = verify_report_consistency(report, grid, cfg)
 
     _write(out_dir, "grid.json", grid.to_json())
     _write(out_dir, "report.json", report.to_json())
     _write(out_dir, "sequence.json", seq.to_json())
-    if args.format == "robot_script":
-        _write(out_dir, "toolpath.txt", emit_toolpath(path, "robot_script"))
-    else:
-        _write(out_dir, "toolpath.json", emit_toolpath(path, "json"))
+    _write_toolpath(out_dir, path, args.format)
 
     duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
     summary = repaired.repair
@@ -281,7 +176,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         "blockplan pipeline summary",
         "==========================",
         f"input:        {provenance}",
-        f"mesh:         {raw_vertices} vertices, {raw_triangles} triangles "
+        f"mesh:         {raw.vertex_count} vertices, {raw.triangle_count} triangles "
         f"-> {repaired.vertex_count} vertices, {repaired.triangle_count} triangles",
         f"repair:       welded={summary.welded_vertices} "
         f"degenerate={summary.removed_degenerate} "
@@ -311,33 +206,25 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_filter(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def _cmd_filter(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     result = fallback_filter(args.text)
     if isinstance(result, Rejection):
-        print(result.message, file=sys.stderr)
-        return EXIT_REJECTED
+        raise _RejectedRequest(result)
     print(result.extracted_phrase)
     return EXIT_OK
 
 
-def _cmd_voxelize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    assembly = cfg.to_assembly_config()
-    mesh = _load_mesh(Path(args.mesh), cfg)
-    repaired = repair_mesh(mesh, cfg.weld_tolerance)
-    fitted, _ = fit_to_workspace(repaired, assembly.workspace, assembly.max_upscale)
-    grid = voxelize(fitted, build_grid(bounding_box(fitted), assembly.cell_size))
+def _cmd_voxelize(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+    fitted = _fitted_mesh(args, cfg)[0]
+    grid = voxelize(fitted, build_grid(bounding_box(fitted), cfg.cell_size))
     path = _write(Path(args.out_dir), "grid.json", grid.to_json())
     print(f"{len(grid.occupied)} occupied cells -> {path}")
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    assembly = cfg.to_assembly_config()
-    mesh = _load_mesh(Path(args.mesh), cfg)
-    repaired = repair_mesh(mesh, cfg.weld_tolerance)
-    fitted, _ = fit_to_workspace(repaired, assembly.workspace, assembly.max_upscale)
+def _cmd_check(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     grid, report = run_feasibility(
-        fitted, assembly, failure_handling=not args.no_failure_handling
+        _fitted_mesh(args, cfg)[0], cfg, failure_handling=not args.no_failure_handling
     )
     out_dir = Path(args.out_dir)
     _write(out_dir, "grid.json", grid.to_json())
@@ -347,7 +234,7 @@ def _cmd_check(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sequence(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def _cmd_sequence(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = connectivity_sort(grid)
     path = _write(Path(args.out_dir), "sequence.json", seq.to_json())
@@ -355,26 +242,20 @@ def _cmd_sequence(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_toolpath(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    assembly = cfg.to_assembly_config()
+def _cmd_toolpath(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = AssemblySequence.from_json(Path(args.sequence).read_bytes())
-    path = plan_toolpath(seq, grid, assembly, cfg.motion_params())
-    out_dir = Path(args.out_dir)
-    if args.format == "robot_script":
-        written = _write(out_dir, "toolpath.txt", emit_toolpath(path, "robot_script"))
-    else:
-        written = _write(out_dir, "toolpath.json", emit_toolpath(path, "json"))
+    path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
+    written = _write_toolpath(Path(args.out_dir), path, args.format)
     duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
     print(f"{len(path)} commands, estimated {duration:.1f} s -> {written}")
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    assembly = cfg.to_assembly_config()
+def _cmd_validate(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = AssemblySequence.from_json(Path(args.sequence).read_bytes())
-    sim = simulate_assembly(seq, grid, assembly)
+    sim = simulate_assembly(seq, grid, cfg)
     path = _write(Path(args.out_dir), "simulation.json", sim.to_json())
     if not sim.ok:
         print(

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import Cell, CheckKind, CheckResult, failed, passed
-from .config import (
-    DEFAULT_OVERHANG_LIMIT,
-    DEFAULT_STACK_LIMIT,
-    AssemblyConfig,
-    Inventory,
-)
+from .config import DEFAULT_OVERHANG_LIMIT, DEFAULT_STACK_LIMIT, AssemblyConfig
 from .discretizer import (
     OccupancyGrid,
     Workspace,
@@ -67,11 +62,11 @@ class FeasibilityReport:
 # --- individual checks -------------------------------------------------------
 
 
-def check_component_count(grid: OccupancyGrid, inventory: Inventory) -> CheckResult:
+def check_component_count(grid: OccupancyGrid, inventory: int) -> CheckResult:
     count = len(grid.occupied)
     if count == 0:
         raise EmptyAssembly("grid has no occupied cells")
-    if count <= inventory.available_components:
+    if count <= inventory:
         return passed(CheckKind.COMPONENT_COUNT)
     return failed(CheckKind.COMPONENT_COUNT, (count,))
 
@@ -210,7 +205,7 @@ def truncate_stacks(
 
 def rescale_until_fits(
     mesh: TriangleMesh,
-    inventory: Inventory,
+    inventory: int,
     cell_size: float,
     workspace: Workspace,
     max_scale: float | None = 1.0,
@@ -231,13 +226,13 @@ def rescale_until_fits(
     if grid is None or fitted.vertices.tobytes() != mesh.vertices.tobytes():
         grid = voxelize(fitted, build_grid(bounding_box(fitted), cell_size))
     iterations = 0
-    while len(grid.occupied) > inventory.available_components:
+    while len(grid.occupied) > inventory:
         box = bounding_box(fitted)
         longest = max(box.extents)
         if longest - cell_size < cell_size:
             raise CannotFit(
                 f"{len(grid.occupied)} components exceed the inventory of "
-                f"{inventory.available_components} and the design cannot shrink "
+                f"{inventory} and the design cannot shrink "
                 f"below one component"
             )
         factor = (longest - cell_size) / longest
@@ -291,23 +286,18 @@ def run_feasibility(
             modifications.append(
                 {"action": "rescale", "iterations": iterations, "scale": scale}
             )
-        if check_overhang(grid, config.overhang_limit).failed:
-            trimmed = remove_overhangs(grid, config.overhang_limit)
-            modifications.append(
-                {
-                    "action": "remove_overhangs",
-                    "removed": [list(c) for c in sorted(grid.occupied - trimmed.occupied)],
-                }
-            )
-            grid = trimmed
-        if check_vertical_stack(grid, config.stack_limit).failed:
-            trimmed = truncate_stacks(grid, config.stack_limit, config.overhang_limit)
-            modifications.append(
-                {
-                    "action": "truncate_stacks",
-                    "removed": [list(c) for c in sorted(grid.occupied - trimmed.occupied)],
-                }
-            )
+        rewrites = {
+            "remove_overhangs": lambda g: remove_overhangs(g, config.overhang_limit),
+            "truncate_stacks": lambda g: truncate_stacks(
+                g, config.stack_limit, config.overhang_limit
+            ),
+        }
+        for action, rewrite in rewrites.items():
+            # a grid that already passes comes back with its cells unchanged
+            trimmed = rewrite(grid)
+            removed = sorted(grid.occupied - trimmed.occupied)
+            if removed:
+                modifications.append({"action": action, "removed": [list(c) for c in removed]})
             grid = trimmed
         if not grid.occupied:
             raise EmptyAfterModification("failure handling removed every cell")

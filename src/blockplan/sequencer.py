@@ -66,7 +66,9 @@ def naive_sort(grid: OccupancyGrid) -> AssemblySequence:
     return AssemblySequence(tuple(ordered))
 
 
-def _require_coverage(seq: AssemblySequence, grid: OccupancyGrid) -> None:
+def require_coverage(seq: AssemblySequence, grid: OccupancyGrid) -> None:
+    """Raise :class:`SequenceGridMismatch` unless the sequence places each
+    occupied cell exactly once."""
     if len(seq.cells) != len(set(seq.cells)):
         raise SequenceGridMismatch("sequence repeats a cell")
     if set(seq.cells) != grid.occupied:
@@ -84,7 +86,7 @@ def check_sequence_connectivity(
     Ground-layer cells (k = 0) count as connected by definition. The first
     cell that has no already-placed face neighbor fails the check.
     """
-    _require_coverage(seq, grid)
+    require_coverage(seq, grid)
     placed: set[Cell] = set()
     for cell in seq.cells:
         if cell[2] > 0 and not any(nb in placed for nb in face_neighbors(cell)):

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import AssemblyConfig
+from .config import DEFAULT_DWELL_S, AssemblyConfig
 from .discretizer import OccupancyGrid
-from .errors import ConfigViolation, SchemaError, SequenceGridMismatch
-from .sequencer import AssemblySequence
+from .errors import ConfigViolation, SchemaError
+from .sequencer import AssemblySequence, require_coverage
 
 CM_TO_MM = 10.0
-DEFAULT_DWELL_S = 0.5  # gripper open/close dwell
 _RATIO_RTOL = 1e-9
 
 
@@ -101,8 +100,7 @@ def plan_toolpath(
     the cell bottom plus one component height (plus any tool offset). All
     transit happens at the movement plane.
     """
-    if set(seq.cells) != grid.occupied or len(seq.cells) != len(grid.occupied):
-        raise SequenceGridMismatch("sequence does not cover the grid")
+    require_coverage(seq, grid)
     _validate_config(grid, config)
 
     cell = grid.spec.cell_size

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .checks import Cell
 from .config import AssemblyConfig
 from .discretizer import OccupancyGrid
-from .errors import BlockplanError, SequenceGridMismatch
+from .errors import BlockplanError
 from .feasibility import (
     FeasibilityReport,
     check_component_count,
@@ -19,6 +19,7 @@ from .sequencer import (
     check_sequence_connectivity,
     connectivity_sort,
     face_neighbors,
+    require_coverage,
 )
 
 
@@ -67,8 +68,7 @@ def simulate_assembly(
     gripper can descend (corridor), and the movement plane must clear the
     structure including the new cell by the configured margin.
     """
-    if len(seq.cells) != len(set(seq.cells)) or set(seq.cells) != grid.occupied:
-        raise SequenceGridMismatch("sequence does not cover the grid")
+    require_coverage(seq, grid)
     cell_size = grid.spec.cell_size
     origin_z = grid.spec.origin[2]
     placed: set[Cell] = set()

@@ -19,7 +19,7 @@ from blockplan.feasibility import (
     check_overhang,
     check_vertical_stack,
 )
-from blockplan.config import AssemblyConfig, Inventory, Workspace
+from blockplan.config import AssemblyConfig, Workspace
 from blockplan.frontend import ObjectRequest, Rejection, fallback_filter
 from blockplan.mesh_io import bounding_box
 from blockplan.sequencer import check_sequence_connectivity, connectivity_sort, naive_sort

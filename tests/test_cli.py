@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, config plumbing."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,9 +22,11 @@ from blockplan.cli import (
     EXIT_UNSEQUENCEABLE,
     EXIT_UNSUPPORTED_FORMAT,
     EXIT_VALIDATION_FAILED,
-    PipelineConfig,
     main,
 )
+from blockplan.config import MAX_GRID_CELLS, AssemblyConfig
+from blockplan.discretizer import Workspace
+from blockplan.errors import SchemaError
 from blockplan.mesh_io import MeshFormat, serialize_mesh
 from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import box_mesh
@@ -293,6 +296,12 @@ def test_config_file_rejects_bad_documents(tmp_path):
     assert main(["filter", "--text", "a box", "--config", str(not_object)]) == EXIT_SCHEMA
 
 
+def test_config_file_that_is_not_text(tmp_path):
+    binary = tmp_path / "cfg.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["filter", "--text", "a box", "--config", str(binary)]) == EXIT_SCHEMA
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -303,6 +312,11 @@ def test_config_file_rejects_bad_documents(tmp_path):
         "velocity=0",
         "cell_size=NaN",
         "weld_tolerance=-1",
+        "motion_unit_scale=0",
+        "gripper_dwell_s=-1",
+        "mesh_manifest=5",
+        "inventory=1.5",
+        "client_timeout_s=30",
     ],
 )
 def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
@@ -324,12 +338,132 @@ def test_config_file_rejects_bad_values(demo_mesh_files, tmp_path):
     assert code == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("override", ["motion_unit_scale=0", "gripper_dwell_s=-1"])
+def test_toolpath_rejects_bad_motion_values(tmp_path, override):
+    grid = make_grid([(0, 0, 0)])
+    (tmp_path / "grid.json").write_bytes(grid.to_json())
+    (tmp_path / "seq.json").write_bytes(AssemblySequence(((0, 0, 0),)).to_json())
+    out = tmp_path / "out"
+    code = main([
+        "toolpath", "--grid", str(tmp_path / "grid.json"),
+        "--sequence", str(tmp_path / "seq.json"),
+        "--set", override, "--out-dir", str(out),
+    ])
+    assert code == EXIT_SCHEMA
+    assert not out.exists()
+
+
+def test_text_input_rejects_non_string_manifest(tmp_path):
+    code = main([
+        "pipeline", "--text", "make me a coffee table",
+        "--set", "mesh_manifest=5", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_SCHEMA
+
+
+def test_mesh_unit_scale_applies_to_text_input(demo_mesh_files, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"coffee table": demo_mesh_files["table"]}))
+    text = ["--text", "make me a coffee table", "--mesh-manifest", str(manifest)]
+    runs = {
+        "text": [*text, "--set", "mesh_unit_scale=0.5"],
+        "file": ["--mesh", demo_mesh_files["table"], "--set", "mesh_unit_scale=0.5"],
+        "unscaled": text,
+    }
+    for name, source in runs.items():
+        assert main(["pipeline", *source, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+    names = ("grid.json", "report.json", "sequence.json", "toolpath.json")
+    scaled = read_artifacts(tmp_path / "text", names)
+    assert scaled == read_artifacts(tmp_path / "file", names)
+    assert scaled["grid.json"] != read_artifacts(tmp_path / "unscaled", names)["grid.json"]
+
+
+def test_overflowing_mesh_unit_scale_is_config_violation(demo_mesh_files, tmp_path):
+    code = main([
+        "pipeline", "--mesh", demo_mesh_files["tee"],
+        "--set", "mesh_unit_scale=1e308", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CONFIG_VIOLATION
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "cell_size=1e-3",
+        "cell_size=1e-300",
+        "workspace=[1e308,1e308,1e308]",
+        "workspace=[Infinity,50,60]",
+    ],
+)
+def test_voxelize_rejects_too_fine_a_grid(demo_mesh_files, tmp_path, override):
+    code = main([
+        "voxelize", "--mesh", demo_mesh_files["tee"],
+        "--set", override, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_cell_cap_boundary():
+    # 241 x 201 x 241 cells fit under the cap, 301 x 251 x 301 do not
+    assert (60 / 0.25 + 1) * (50 / 0.25 + 1) * (60 / 0.25 + 1) <= MAX_GRID_CELLS
+    AssemblyConfig(cell_size=0.25)
+    with pytest.raises(ValueError, match="cells"):
+        AssemblyConfig(cell_size=0.2)
+
+
+# A valid non-default value for every config key, and the demo mesh on which
+# it changes the outcome of a pipeline run. For mesh_manifest the value is
+# the manifest path and the input is a text request.
+KEY_PROBES = {
+    "workspace": ("tee", [40.0, 40.0, 40.0]),
+    "cell_size": ("tee", 5.0),
+    "inventory": ("tee", 5),
+    "source": ("tee", [-20.0, -20.0, 10.0]),
+    "movement_plane_z": ("tee", 70.0),
+    "clearance": ("tee", 10.0),  # the plane no longer clears the workspace
+    "overhang_limit": ("shelf", 4),
+    "stack_limit": ("tee", 6),
+    "tool_offset_z": ("tee", 1.5),
+    "max_upscale": ("tee", 0.5),
+    "velocity": ("tee", 1.0),
+    "acceleration": ("tee", 2.0),
+    "gripper_dwell_s": ("tee", 1.0),
+    "motion_unit_scale": ("tee", 2.0),
+    "mesh_unit_scale": ("tee", 0.5),
+    "weld_tolerance": ("tee", 0.0),
+    "mesh_manifest": ("table", None),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(AssemblyConfig)])
+def test_every_config_key_changes_the_outcome(demo_mesh_files, tmp_path, key):
+    mesh, value = KEY_PROBES[key]
+    source = ["--mesh", demo_mesh_files[mesh]]
+    if key == "mesh_manifest":
+        value = str(tmp_path / "manifest.json")
+        Path(value).write_text(json.dumps({"coffee table": demo_mesh_files[mesh]}))
+        source = ["--text", "make me a coffee table"]
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({key: value}))
+
+    def outcome(name, *extra):
+        out = tmp_path / name
+        code = main(["pipeline", *source, *extra, "--out-dir", str(out)])
+        return code, read_artifacts(out, sorted(p.name for p in out.glob("*")))
+
+    default = outcome("default")
+    by_set = outcome("set", "--set", f"{key}={json.dumps(value)}")
+    assert by_set != default
+    assert outcome("file", "--config", str(config_file)) == by_set
+
+
 def test_config_tuple_override_shape():
-    cfg = PipelineConfig()
-    cfg.apply_override("workspace", [30, 30, 30])
-    assert cfg.workspace == (30.0, 30.0, 30.0)
-    with pytest.raises(Exception):
-        cfg.apply_override("workspace", [30, 30])
+    cfg = AssemblyConfig.from_mapping({"workspace": [30, 30, 30]})
+    assert cfg.workspace == Workspace((30.0, 30.0, 30.0))
+    with pytest.raises(SchemaError):
+        AssemblyConfig.from_mapping({"workspace": [30, 30]})
 
 
 def test_argparse_usage_errors():

@@ -9,7 +9,7 @@ import pytest
 
 from blockplan import feasibility
 from blockplan.checks import CheckKind, CheckStatus
-from blockplan.config import AssemblyConfig, Inventory
+from blockplan.config import AssemblyConfig
 from blockplan.discretizer import Workspace, voxelize
 from blockplan.errors import CannotFit, EmptyAssembly
 from blockplan.feasibility import (
@@ -50,24 +50,24 @@ def test_count_at_inventory_limit_passes(grid_factory):
     grid = grid_factory(cells + column(1, 1, 3, base=1) + column(2, 2, 3, base=1)
                         + column(3, 3, 3, base=1) + column(4, 4, 3, base=1))
     assert len(grid.occupied) == 40
-    assert check_component_count(grid, Inventory(40)).passed
+    assert check_component_count(grid, 40).passed
 
 
 def test_count_over_inventory_fails_with_count(grid_factory):
     cells = [(i, j, k) for i in range(5) for j in range(4) for k in range(2)] + [(0, 4, 0)]
     grid = grid_factory(cells)
-    result = check_component_count(grid, Inventory(40))
+    result = check_component_count(grid, 40)
     assert result.failed
     assert result.details == (41,)
 
 
 def test_count_single_cell_single_inventory(grid_factory):
-    assert check_component_count(grid_factory([(0, 0, 0)]), Inventory(1)).passed
+    assert check_component_count(grid_factory([(0, 0, 0)]), 1).passed
 
 
 def test_count_rejects_empty_grid(grid_factory):
     with pytest.raises(EmptyAssembly):
-        check_component_count(grid_factory([]), Inventory(40))
+        check_component_count(grid_factory([]), 40)
 
 
 # --- overhang ------------------------------------------------------------
@@ -203,20 +203,20 @@ def box_rescale_oracle(extents, cell: float, inventory: int):
 
 def test_rescale_not_needed_when_within_inventory():
     mesh = box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0))
-    grid, scale, iterations = rescale_until_fits(mesh, Inventory(40), 10.0, Workspace())
+    grid, scale, iterations = rescale_until_fits(mesh, 40, 10.0, Workspace())
     assert (len(grid.occupied), scale, iterations) == (2, 1.0, 0)
 
 
 def test_rescale_single_step_halves_two_cell_box():
     mesh = box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0))
-    grid, scale, iterations = rescale_until_fits(mesh, Inventory(1), 10.0, Workspace())
+    grid, scale, iterations = rescale_until_fits(mesh, 1, 10.0, Workspace())
     assert (len(grid.occupied), scale, iterations) == (1, 0.5, 1)
 
 
 def test_rescale_matches_box_oracle():
     extents = (60.0, 50.0, 60.0)
     mesh = box_mesh((0.0, 0.0, 0.0), extents)
-    grid, scale, iterations = rescale_until_fits(mesh, Inventory(40), 10.0, Workspace())
+    grid, scale, iterations = rescale_until_fits(mesh, 40, 10.0, Workspace())
     count, expected_scale, expected_iterations = box_rescale_oracle(extents, 10.0, 40)
     assert len(grid.occupied) == count == 27
     assert iterations == expected_iterations == 3
@@ -227,7 +227,7 @@ def test_rescale_matches_box_oracle():
 def test_rescale_raises_when_design_cannot_shrink():
     mesh = box_mesh((0.0, 0.0, 0.0), (15.0, 15.0, 15.0))
     with pytest.raises(CannotFit):
-        rescale_until_fits(mesh, Inventory(1), 10.0, Workspace())
+        rescale_until_fits(mesh, 1, 10.0, Workspace())
 
 
 # --- orchestration -------------------------------------------------------
