@@ -32,7 +32,7 @@ from .errors import (
 )
 from .feasibility import run_feasibility
 from .frontend import MockMeshGenerator, Rejection, acquire_mesh, fallback_filter
-from .mesh_io import TriangleMesh, bounding_box, parse_mesh, repair_mesh
+from .mesh_io import TriangleMesh, bounding_box, finite_extent, parse_mesh, repair_mesh
 from .sequencer import AssemblySequence, connectivity_sort
 from .toolpath import (
     MotionParams,
@@ -136,7 +136,7 @@ def _fitted_mesh(
     if cfg.mesh_unit_scale != 1.0:
         with np.errstate(over="ignore", invalid="ignore"):
             mesh = mesh.with_vertices(mesh.vertices * cfg.mesh_unit_scale)
-        if not np.isfinite(mesh.vertices).all():
+        if not finite_extent(mesh.vertices):
             raise ConfigViolation(
                 f"mesh_unit_scale {cfg.mesh_unit_scale!r} overflows the vertices"
             )

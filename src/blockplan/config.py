@@ -76,6 +76,10 @@ class AssemblyConfig:
             raise ValueError("gripper_dwell_s >= 0 and motion_unit_scale > 0 required")
         if self.weld_tolerance < 0:
             raise ValueError("weld_tolerance must be >= 0")
+        if self.mesh_unit_scale <= 0:
+            raise ValueError("mesh_unit_scale must be positive")
+        if self.max_upscale is not None and self.max_upscale <= 0:
+            raise ValueError("max_upscale must be positive or null")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "AssemblyConfig":

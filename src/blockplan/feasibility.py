@@ -9,7 +9,6 @@ re-sorting.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -71,37 +70,24 @@ def check_component_count(grid: OccupancyGrid, inventory: int) -> CheckResult:
     return failed(CheckKind.COMPONENT_COUNT, (count,))
 
 
-def _layer_distances(occupied: frozenset[Cell] | set[Cell], k: int) -> dict[Cell, float]:
-    """BFS distance of each layer-k cell to the nearest supported cell.
+def _overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
+    """Cells more than ``limit`` lateral steps from a supported cell.
 
-    Supported means sitting on the ground (k = 0) or directly on an occupied
-    cell below. Distances run along same-layer face adjacency; cells with no
-    path to support get infinity.
+    Supported means on the ground (k = 0) or directly on an occupied cell.
+    One breadth-first search from every supported cell moves only within a
+    layer; a cell it never reaches has no path to support.
     """
-    layer = [c for c in occupied if c[2] == k]
-    dist: dict[Cell, float] = {c: math.inf for c in layer}
-    queue: deque[Cell] = deque()
-    for cell in layer:
-        if k == 0 or (cell[0], cell[1], k - 1) in occupied:
-            dist[cell] = 0
-            queue.append(cell)
+    occupied = grid.occupied
+    dist = {c: 0 for c in occupied if c[2] == 0 or (c[0], c[1], c[2] - 1) in occupied}
+    queue = deque(dist)
     while queue:
         cell = queue.popleft()
         for di, dj in _LATERAL:
-            nb = (cell[0] + di, cell[1] + dj, k)
-            if nb in dist and dist[nb] == math.inf:
+            nb = (cell[0] + di, cell[1] + dj, cell[2])
+            if nb in occupied and nb not in dist:
                 dist[nb] = dist[cell] + 1
                 queue.append(nb)
-    return dist
-
-
-def _overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
-    offenders: list[Cell] = []
-    for k in range(grid.spec.dims[2]):
-        for cell, d in _layer_distances(grid.occupied, k).items():
-            if d > limit:
-                offenders.append(cell)
-    return sorted(offenders)
+    return sorted(c for c in occupied if dist.get(c, limit + 1) > limit)
 
 
 def check_overhang(
@@ -132,47 +118,23 @@ def remove_overhangs(
         occupied = occupied - set(offenders)
 
 
-def _free_standing_runs(occupied: frozenset[Cell] | set[Cell]) -> list[list[Cell]]:
-    """Maximal vertical runs of occupied cells with no horizontal neighbor.
-
-    A cell braced sideways splits the column; only the unbraced stretches
-    count toward the stack limit.
-    """
-    columns: dict[tuple[int, int], list[int]] = {}
-    for i, j, k in occupied:
-        columns.setdefault((i, j), []).append(k)
-    runs: list[list[Cell]] = []
-    for (i, j), ks in sorted(columns.items()):
-        run: list[Cell] = []
-        prev_k = None
-        for k in sorted(ks):
-            braced = any((i + di, j + dj, k) in occupied for di, dj in _LATERAL)
-            contiguous = prev_k is not None and k == prev_k + 1
-            if braced or not contiguous:
-                if len(run) > 0:
-                    runs.append(run)
-                run = []
-            if not braced:
-                run.append((i, j, k))
-            prev_k = k
-        if run:
-            runs.append(run)
-    return runs
-
-
 def check_vertical_stack(
     grid: OccupancyGrid, max_stack: int = DEFAULT_STACK_LIMIT
 ) -> CheckResult:
     """Fails when a free-standing column is taller than ``max_stack`` cells.
 
-    Details list the cells above the allowed height of each offending run.
+    A cell braced sideways has height 0; any other cell is one higher than
+    the cell below it (0 when absent). Details list the cells above height
+    ``max_stack``.
     """
-    excess: list[Cell] = []
-    for run in _free_standing_runs(grid.occupied):
-        if len(run) > max_stack:
-            excess.extend(run[max_stack:])
+    occupied = grid.occupied
+    height: dict[Cell, int] = {}
+    for i, j, k in sorted(occupied, key=lambda c: c[2]):
+        braced = any((i + di, j + dj, k) in occupied for di, dj in _LATERAL)
+        height[(i, j, k)] = 0 if braced else 1 + height.get((i, j, k - 1), 0)
+    excess = sorted(c for c, h in height.items() if h > max_stack)
     if excess:
-        return failed(CheckKind.VERTICAL_STACK, tuple(sorted(excess)))
+        return failed(CheckKind.VERTICAL_STACK, tuple(excess))
     return passed(CheckKind.VERTICAL_STACK)
 
 

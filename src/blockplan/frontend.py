@@ -94,7 +94,7 @@ class ObjectRequest:
     def __post_init__(self) -> None:
         if not self.extracted_phrase:
             raise ValueError("extracted_phrase must be non-empty")
-        if self.extracted_phrase.strip().lower() == "false":
+        if _is_rejection_token(self.extracted_phrase):
             raise ValueError("extracted_phrase must not be the rejection token")
 
 
@@ -163,9 +163,14 @@ def filter_request(
     phrase = response.strip()
     if not phrase or len(phrase) > MAX_RESPONSE_CHARS:
         return Rejection(text)
-    if phrase.lower() == "false":
+    if _is_rejection_token(phrase):
         return Rejection(text)
     return ObjectRequest(text, phrase)
+
+
+def _is_rejection_token(answer: str) -> bool:
+    """'false' in any case, quoted or not, with or without a trailing period."""
+    return answer.strip().strip("\"'").removesuffix(".").lower() == "false"
 
 
 def fallback_filter(
@@ -203,7 +208,7 @@ def fallback_filter(
             phrase = phrase[:cut]
 
     phrase = phrase.strip(string.punctuation + string.whitespace)
-    if not phrase or phrase in abstract_lexicon:
+    if not phrase or phrase in abstract_lexicon or _is_rejection_token(phrase):
         return Rejection(text)
     return ObjectRequest(text, phrase)
 

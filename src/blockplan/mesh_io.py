@@ -150,9 +150,17 @@ def parse_mesh(data: bytes, format_hint: MeshFormat | str | None = None) -> Tria
         mesh = _parse_stl_binary(data)
     else:
         mesh = _parse_obj(data)
-    if not np.isfinite(mesh.vertices).all():
-        raise MalformedFile("vertex coordinates must be finite (NaN or inf found)")
+    if not finite_extent(mesh.vertices):
+        raise MalformedFile("vertex coordinates and their extent must be finite")
     return mesh
+
+
+def finite_extent(vertices: np.ndarray) -> bool:
+    """True when every coordinate and each axis's max - min are finite."""
+    if not np.isfinite(vertices).all():
+        return False
+    with np.errstate(over="ignore"):
+        return len(vertices) == 0 or bool(np.isfinite(np.ptp(vertices, axis=0)).all())
 
 
 def _resolve_format(data: bytes, hint: MeshFormat | str | None) -> MeshFormat:
@@ -169,11 +177,12 @@ def _resolve_format(data: bytes, hint: MeshFormat | str | None) -> MeshFormat:
 
 
 def _sniff(data: bytes) -> MeshFormat:
+    # binary length first, as in _sniff_stl: a binary header may say "solid"
+    if _binary_stl_length_consistent(data):
+        return MeshFormat.STL_BINARY
     head = data[:512].lstrip()
     if head.startswith(b"solid") and b"facet" in data[:4096]:
         return MeshFormat.STL_ASCII
-    if _binary_stl_length_consistent(data):
-        return MeshFormat.STL_BINARY
     if _looks_like_obj(data):
         return MeshFormat.OBJ
     raise UnsupportedFormat("could not identify mesh format")

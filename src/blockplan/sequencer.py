@@ -98,12 +98,12 @@ def check_sequence_connectivity(
 def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
     """Layer-by-layer order in which every placement touches the structure.
 
-    Within a layer, the next cell is chosen among the unplaced cells that
-    share a face with a placed cell (or sit on the ground) by smallest
-    Manhattan index distance to the nearest placed cell, ties broken by
-    (i, j). The very first cell is the lexicographic minimum of layer 0.
-    Raises :class:`Unsequenceable` when a layer cannot be completed, e.g.
-    an arch whose keystone column only connects from above.
+    Within a layer, the next cell is the smallest (i, j) among the cells that
+    share a face with a placed cell, as none is closer than that. When none
+    does, a ground cell nearest the placed ones (ties by (i, j)) starts a new
+    island, so the very first cell is the lexicographic minimum of layer 0.
+    Raises :class:`Unsequenceable` when a higher layer cannot be completed,
+    e.g. an arch whose keystone column only connects from above.
     """
     if not grid.occupied:
         raise EmptyAssembly("grid has no occupied cells")
@@ -112,22 +112,16 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
     for k in range(grid.spec.dims[2]):
         remaining = {c for c in grid.occupied if c[2] == k}
         while remaining:
-            candidates = [
-                c
-                for c in remaining
-                if k == 0 or any(nb in placed for nb in face_neighbors(c))
+            touching = [
+                c for c in remaining if any(nb in placed for nb in face_neighbors(c))
             ]
-            if not candidates:
-                stuck = min(remaining)
-                raise Unsequenceable(
-                    f"layer {k}: cell {stuck} is unreachable from the structure"
-                )
-            if not placed:
-                pick = min(candidates)
+            if touching:
+                pick = min(touching)
+            elif k == 0:  # one layer, so the cell itself orders by (i, j)
+                pick = min(remaining, key=lambda c: (_nearest_manhattan(c, placed), c))
             else:
-                pick = min(
-                    candidates,
-                    key=lambda c: (_nearest_manhattan(c, placed), c[0], c[1]),
+                raise Unsequenceable(
+                    f"layer {k}: cell {min(remaining)} is unreachable from the structure"
                 )
             order.append(pick)
             placed.add(pick)
@@ -137,4 +131,4 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
 
 def _nearest_manhattan(cell: Cell, placed: set[Cell]) -> int:
     ci, cj, ck = cell
-    return min(abs(ci - i) + abs(cj - j) + abs(ck - k) for i, j, k in placed)
+    return min((abs(ci - i) + abs(cj - j) + abs(ck - k) for i, j, k in placed), default=0)

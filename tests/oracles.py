@@ -1,19 +1,26 @@
-"""Slow scalar reference implementations of the vectorized mesh front end.
+"""Slow reference implementations of the mesh front end, the feasibility
+rules and the connectivity-aware sort.
 
 These are the original per-vertex, per-triangle and per-cell loops of
-``blockplan.mesh_io`` and ``blockplan.discretizer``. The randomized
-equivalence tests require the numpy implementations to reproduce them
-exactly: same vertices, triangles, repair summary and occupied cells.
+``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer overhang
+search and run-list stack rule of ``blockplan.feasibility``, and the
+all-pairs distance sort of ``blockplan.sequencer``. The randomized
+equivalence tests require the current implementations to reproduce them
+exactly: same vertices, triangles, repair summary, occupied cells, check
+details, rewritten grids, placement orders and errors.
 The weld oracle needs scipy, which is a test-only dependency.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from blockplan.checks import Cell, CheckKind, CheckResult, failed, passed
 from blockplan.discretizer import _RAY_DIR, SAT_EPSILON, GridSpec, OccupancyGrid
+from blockplan.errors import EmptyAssembly, Unsequenceable
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     DEGENERATE_AREA,
@@ -21,6 +28,7 @@ from blockplan.mesh_io import (
     TriangleMesh,
     is_manifold,
 )
+from blockplan.sequencer import face_neighbors
 
 # --- repair ------------------------------------------------------------------
 
@@ -250,3 +258,154 @@ def point_inside(point: np.ndarray, coords: np.ndarray) -> bool:
     tol = 1e-12
     hits = ok & (u >= -tol) & (view >= -tol) & (u + view <= 1.0 + tol) & (t > tol)
     return bool(hits.sum() % 2 == 1)
+
+
+# --- feasibility rules -----------------------------------------------------------
+
+_LATERAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def layer_distances(occupied: frozenset[Cell] | set[Cell], k: int) -> dict[Cell, float]:
+    """BFS distance of each layer-k cell to the nearest supported cell.
+
+    Supported means sitting on the ground (k = 0) or directly on an occupied
+    cell below. Distances run along same-layer face adjacency; cells with no
+    path to support get infinity.
+    """
+    layer = [c for c in occupied if c[2] == k]
+    dist: dict[Cell, float] = {c: math.inf for c in layer}
+    queue: deque[Cell] = deque()
+    for cell in layer:
+        if k == 0 or (cell[0], cell[1], k - 1) in occupied:
+            dist[cell] = 0
+            queue.append(cell)
+    while queue:
+        cell = queue.popleft()
+        for di, dj in _LATERAL:
+            nb = (cell[0] + di, cell[1] + dj, k)
+            if nb in dist and dist[nb] == math.inf:
+                dist[nb] = dist[cell] + 1
+                queue.append(nb)
+    return dist
+
+
+def overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
+    offenders: list[Cell] = []
+    for k in range(grid.spec.dims[2]):
+        for cell, d in layer_distances(grid.occupied, k).items():
+            if d > limit:
+                offenders.append(cell)
+    return sorted(offenders)
+
+
+def check_overhang(grid: OccupancyGrid, max_unsupported: int) -> CheckResult:
+    offenders = overhang_offenders(grid, max_unsupported)
+    if offenders:
+        return failed(CheckKind.OVERHANG, tuple(offenders))
+    return passed(CheckKind.OVERHANG)
+
+
+def remove_overhangs(grid: OccupancyGrid, max_unsupported: int) -> OccupancyGrid:
+    occupied = grid.occupied
+    while True:
+        trial = OccupancyGrid(grid.spec, occupied)
+        offenders = overhang_offenders(trial, max_unsupported)
+        if not offenders:
+            return trial
+        occupied = occupied - set(offenders)
+
+
+def free_standing_runs(occupied: frozenset[Cell] | set[Cell]) -> list[list[Cell]]:
+    """Maximal vertical runs of occupied cells with no horizontal neighbor.
+
+    A cell braced sideways splits the column; only the unbraced stretches
+    count toward the stack limit.
+    """
+    columns: dict[tuple[int, int], list[int]] = {}
+    for i, j, k in occupied:
+        columns.setdefault((i, j), []).append(k)
+    runs: list[list[Cell]] = []
+    for (i, j), ks in sorted(columns.items()):
+        run: list[Cell] = []
+        prev_k = None
+        for k in sorted(ks):
+            braced = any((i + di, j + dj, k) in occupied for di, dj in _LATERAL)
+            contiguous = prev_k is not None and k == prev_k + 1
+            if braced or not contiguous:
+                if len(run) > 0:
+                    runs.append(run)
+                run = []
+            if not braced:
+                run.append((i, j, k))
+            prev_k = k
+        if run:
+            runs.append(run)
+    return runs
+
+
+def check_vertical_stack(grid: OccupancyGrid, max_stack: int) -> CheckResult:
+    excess: list[Cell] = []
+    for run in free_standing_runs(grid.occupied):
+        if len(run) > max_stack:
+            excess.extend(run[max_stack:])
+    if excess:
+        return failed(CheckKind.VERTICAL_STACK, tuple(sorted(excess)))
+    return passed(CheckKind.VERTICAL_STACK)
+
+
+def truncate_stacks(
+    grid: OccupancyGrid, max_stack: int, max_unsupported: int
+) -> OccupancyGrid:
+    occupied = grid.occupied
+    while True:
+        trial = OccupancyGrid(grid.spec, occupied)
+        stack_result = check_vertical_stack(trial, max_stack)
+        if stack_result.failed:
+            occupied = occupied - set(stack_result.details)
+            continue
+        offenders = overhang_offenders(trial, max_unsupported)
+        if offenders:
+            occupied = occupied - set(offenders)
+            continue
+        return trial
+
+
+# --- sequencing ------------------------------------------------------------------
+
+
+def connectivity_sort(grid: OccupancyGrid) -> tuple[Cell, ...]:
+    """Placement order picking, per layer, the candidate with the smallest
+    Manhattan distance to any placed cell, ties broken by (i, j)."""
+    if not grid.occupied:
+        raise EmptyAssembly("grid has no occupied cells")
+    order: list[Cell] = []
+    placed: set[Cell] = set()
+    for k in range(grid.spec.dims[2]):
+        remaining = {c for c in grid.occupied if c[2] == k}
+        while remaining:
+            candidates = [
+                c
+                for c in remaining
+                if k == 0 or any(nb in placed for nb in face_neighbors(c))
+            ]
+            if not candidates:
+                stuck = min(remaining)
+                raise Unsequenceable(
+                    f"layer {k}: cell {stuck} is unreachable from the structure"
+                )
+            if not placed:
+                pick = min(candidates)
+            else:
+                pick = min(
+                    candidates,
+                    key=lambda c: (_nearest_manhattan(c, placed), c[0], c[1]),
+                )
+            order.append(pick)
+            placed.add(pick)
+            remaining.remove(pick)
+    return tuple(order)
+
+
+def _nearest_manhattan(cell: Cell, placed: set[Cell]) -> int:
+    ci, cj, ck = cell
+    return min(abs(ci - i) + abs(cj - j) + abs(ck - k) for i, j, k in placed)

@@ -29,7 +29,7 @@ from blockplan.discretizer import Workspace
 from blockplan.errors import SchemaError
 from blockplan.mesh_io import MeshFormat, serialize_mesh
 from blockplan.sequencer import AssemblySequence
-from blockplan.shapes import box_mesh
+from blockplan.shapes import box_mesh, icosphere
 from tests.conftest import make_grid
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -78,6 +78,26 @@ def test_pipeline_equals_composed_stages(demo_mesh_files, tmp_path):
     names = ("grid.json", "report.json", "sequence.json", "toolpath.json")
     assert read_artifacts(whole, names) == read_artifacts(staged, names)
     assert json.loads((staged / "simulation.json").read_bytes())["ok"] is True
+
+
+def test_fine_grid_pipeline_equals_composed_stages(tmp_path):
+    # 720 cells of 5 cm: large enough that a super-linear rule or sort shows
+    mesh = tmp_path / "sphere.stl"
+    sphere = icosphere(25.0, (25.0, 25.0, 25.0), 3)
+    mesh.write_bytes(serialize_mesh(sphere, MeshFormat.STL_BINARY))
+    cfg = ["--set", "cell_size=5", "--set", "inventory=1000"]
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert main(["pipeline", "--mesh", str(mesh), *cfg, "--out-dir", str(whole)]) == EXIT_OK
+    grid, seq = str(staged / "grid.json"), str(staged / "sequence.json")
+    assert main(["check", "--mesh", str(mesh), *cfg, "--out-dir", str(staged)]) == EXIT_OK
+    assert main(["sequence", "--grid", grid, *cfg, "--out-dir", str(staged)]) == EXIT_OK
+    for stage in ("toolpath", "validate"):
+        code = main([stage, "--grid", grid, "--sequence", seq, *cfg, "--out-dir", str(staged)])
+        assert code == EXIT_OK
+
+    names = ("grid.json", "report.json", "sequence.json", "toolpath.json")
+    assert read_artifacts(whole, names) == read_artifacts(staged, names)
+    assert len(json.loads((whole / "grid.json").read_bytes())["occupied"]) >= 500
 
 
 def test_pipeline_without_handling_reports_failure(demo_mesh_files, tmp_path):
@@ -228,6 +248,22 @@ def test_non_finite_vertex_mesh_file(tmp_path):
     assert code == EXIT_MALFORMED_FILE
 
 
+@pytest.mark.parametrize("span", ["9e307", "1e308"])
+def test_overflowing_mesh_extent_is_malformed(tmp_path, span):
+    # finite coordinates whose max - min is inf would fit at scale 0
+    big = tmp_path / "big.obj"
+    big.write_text(f"v -{span} 0 0\nv {span} 1 0\nv 0 1 1\nf 1 2 3\n")
+    code = main(["pipeline", "--mesh", str(big), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_MALFORMED_FILE
+
+
+def test_suffixless_binary_stl_with_solid_header(tmp_path):
+    data = serialize_mesh(box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0)), MeshFormat.STL_BINARY)
+    mesh = tmp_path / "box"
+    mesh.write_bytes(b"solid box, one facet per face".ljust(80) + data[80:])
+    assert main(["pipeline", "--mesh", str(mesh), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_unrecognizable_mesh_file(tmp_path):
     bad = tmp_path / "bad.xyz"
     bad.write_bytes(b"garbage")
@@ -317,6 +353,10 @@ def test_config_file_that_is_not_text(tmp_path):
         "mesh_manifest=5",
         "inventory=1.5",
         "client_timeout_s=30",
+        "max_upscale=0",
+        "max_upscale=-2",
+        "mesh_unit_scale=-1",
+        "mesh_unit_scale=0",
     ],
 )
 def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
@@ -381,6 +421,18 @@ def test_mesh_unit_scale_applies_to_text_input(demo_mesh_files, tmp_path):
 def test_overflowing_mesh_unit_scale_is_config_violation(demo_mesh_files, tmp_path):
     code = main([
         "pipeline", "--mesh", demo_mesh_files["tee"],
+        "--set", "mesh_unit_scale=1e308", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CONFIG_VIOLATION
+    assert not (tmp_path / "out").exists()
+
+
+def test_mesh_unit_scale_overflowing_the_extent_is_config_violation(tmp_path):
+    # each scaled coordinate stays finite, the span from -1e308 to 1e308 does not
+    box = tmp_path / "box.obj"
+    box.write_bytes(serialize_mesh(box_mesh((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), MeshFormat.OBJ))
+    code = main([
+        "pipeline", "--mesh", str(box),
         "--set", "mesh_unit_scale=1e308", "--out-dir", str(tmp_path / "out"),
     ])
     assert code == EXIT_CONFIG_VIOLATION

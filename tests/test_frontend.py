@@ -93,10 +93,14 @@ def test_filter_false_token_rejects(token):
     assert result.message == REJECTION_MESSAGE
 
 
-def test_filter_false_with_punctuation_is_a_phrase():
-    # Only the bare token counts; anything else is taken at face value.
-    result = filter_request("odd", StubClient("false."))
-    assert isinstance(result, ObjectRequest)
+def test_filter_false_with_quotes_or_period_rejects():
+    # the prompt asks for 'false.' and renders its examples in double quotes
+    for token in ["false.", '"false"', "'false'", "False.", "'false.'", ' "FALSE" ']:
+        assert isinstance(filter_request("odd", StubClient(token)), Rejection)
+        with pytest.raises(ValueError):
+            ObjectRequest("odd", token)
+    for phrase in ["false teeth", "false..", "not false"]:
+        assert isinstance(filter_request("odd", StubClient(phrase)), ObjectRequest)
 
 
 def test_filter_rejects_oversized_response():
@@ -158,6 +162,8 @@ def test_fallback_extracts_head_phrase(text, phrase):
         "please",
         "make me",
         "...",
+        "false",
+        '"False."',
     ],
 )
 def test_fallback_rejects_abstract_or_empty_heads(text):

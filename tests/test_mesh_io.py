@@ -153,6 +153,15 @@ def test_generic_stl_hint_sniffs_both_variants():
     assert binary_mesh.format_origin is MeshFormat.STL_BINARY
 
 
+def test_sniffing_prefers_exact_binary_length_over_solid_header():
+    coords = box_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)).triangle_coords()
+    data = b"solid box, one facet per face".ljust(80) + _binary_stl(coords)[80:]
+    sniffed, hinted = parse_mesh(data), parse_mesh(data, "stl")
+    assert sniffed.format_origin is hinted.format_origin is MeshFormat.STL_BINARY
+    np.testing.assert_array_equal(sniffed.vertices, hinted.vertices)
+    np.testing.assert_array_equal(sniffed.triangles, hinted.triangles)
+
+
 # --- serialization round-trips ----------------------------------------------
 
 

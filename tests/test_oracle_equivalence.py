@@ -1,17 +1,35 @@
-"""The numpy weld, winding and voxelization against the scalar oracles.
+"""The numpy weld, winding and voxelization, the feasibility rules and the
+connectivity-aware sort against the slow oracles.
 
 Every case compares exactly: repaired vertices and triangles, the repair
 summary, and the occupied cells of the fitted mesh. Cases are seeded and
 cover cell designs, jittered and duplicated triangle soups, open spheres
 and randomly flipped Moebius strips at several cell sizes, plus the four
-demo meshes and icospheres.
+demo meshes and icospheres. Random occupancy grids hold the overhang and
+stack checks, both rewrites and the placement order (or its error) to the
+old per-layer searches.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from blockplan.discretizer import Workspace, build_grid, fit_to_workspace, voxelize
+from blockplan.discretizer import (
+    GridSpec,
+    OccupancyGrid,
+    Workspace,
+    build_grid,
+    fit_to_workspace,
+    voxelize,
+)
+from blockplan.errors import BlockplanError
+from blockplan.feasibility import (
+    _overhang_offenders,
+    check_overhang,
+    check_vertical_stack,
+    remove_overhangs,
+    truncate_stacks,
+)
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     TriangleMesh,
@@ -19,6 +37,7 @@ from blockplan.mesh_io import (
     bounding_box,
     repair_mesh,
 )
+from blockplan.sequencer import connectivity_sort, face_neighbors
 from blockplan.shapes import (
     box_mesh,
     cell_design_mesh,
@@ -194,3 +213,68 @@ def test_weld_pair_at_exactly_the_tolerance_matches_oracle():
         theirs = oracles.repair_mesh(TriangleMesh(verts, tris), weld_tolerance=tolerance)
         np.testing.assert_array_equal(ours.vertices, theirs.vertices)
         assert ours.repair == theirs.repair
+
+
+# --- feasibility rules and sequencing ------------------------------------------
+
+
+def random_grid(rng: np.random.Generator) -> OccupancyGrid:
+    """Random fill of a small grid plus a few full-height pillars, so some
+    columns stand free and some layers float or split into islands."""
+    dims = tuple(int(rng.integers(1, 7)) for _ in range(3))
+    fill = rng.random(dims) < rng.uniform(0.1, 0.8)
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(rng.integers(0, d)) for d in dims[:2])
+        fill[i, j, : int(rng.integers(1, dims[2] + 1))] = True
+    cells = frozenset(tuple(c) for c in np.argwhere(fill).tolist())
+    return OccupancyGrid(GridSpec((0.0, 0.0, 0.0), 5.0, dims), cells)
+
+
+def outcome(sort, grid: OccupancyGrid):
+    try:
+        order = sort(grid)
+    except BlockplanError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(getattr(order, "cells", order))
+
+
+def ground_islands(order) -> int:
+    """Ground-layer placements that touch nothing placed before them."""
+    placed: set = set()
+    islands = 0
+    for cell in order:
+        islands += cell[2] == 0 and not any(nb in placed for nb in face_neighbors(cell))
+        placed.add(cell)
+    return islands
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_feasibility_rules_match_oracle(seed):
+    rng = np.random.default_rng([seed, 5])
+    for _ in range(50):
+        grid = random_grid(rng)
+        for limit in range(5):
+            assert _overhang_offenders(grid, limit) == oracles.overhang_offenders(grid, limit)
+            assert check_overhang(grid, limit) == oracles.check_overhang(grid, limit)
+            assert remove_overhangs(grid, limit) == oracles.remove_overhangs(grid, limit)
+            stack = limit + 1
+            assert check_vertical_stack(grid, stack) == oracles.check_vertical_stack(grid, stack)
+            for unsupported in (0, 2):
+                assert truncate_stacks(grid, stack, unsupported) == oracles.truncate_stacks(
+                    grid, stack, unsupported
+                )
+
+
+def test_connectivity_sort_matches_oracle():
+    rng = np.random.default_rng(17)
+    unsequenceable = multi_island = 0
+    for _ in range(600):
+        grid = random_grid(rng)
+        ours = outcome(connectivity_sort, grid)
+        assert ours == outcome(oracles.connectivity_sort, grid)
+        if ours and isinstance(ours[0], str):  # (error name, message)
+            unsequenceable += ours[0] == "Unsequenceable"
+        else:
+            multi_island += ground_islands(ours) > 1
+    # the seeded grids exercise both the error and the new-island search
+    assert unsequenceable >= 100 and multi_island >= 100
