@@ -141,6 +141,8 @@ def _fitted_mesh(
                 f"mesh_unit_scale {cfg.mesh_unit_scale!r} overflows the vertices"
             )
     repaired = repair_mesh(mesh, cfg.weld_tolerance)
+    if not repaired.triangle_count:
+        raise EmptyMesh(f"repair left no triangles (weld_tolerance {cfg.weld_tolerance!r})")
     fitted, fit_scale = fit_to_workspace(repaired, cfg.workspace, cfg.max_upscale)
     return fitted, fit_scale, repaired, mesh, provenance
 

@@ -51,10 +51,13 @@ class GridSpec:
     dims: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:  # NaN fails too
             raise ValueError("cell_size must be positive")
         if any(int(d) < 1 for d in self.dims):
             raise ValueError("grid dims must be at least 1 per axis")
+        far = (o + d * self.cell_size for o, d in zip(self.origin, self.dims))
+        if not all(map(math.isfinite, (*self.origin, *far))):
+            raise ValueError("grid origin and far corner must be finite")
 
     @property
     def cell_count(self) -> int:
@@ -99,16 +102,24 @@ class OccupancyGrid:
             spec = GridSpec(
                 origin=tuple(float(v) for v in obj["origin_cm"]),
                 cell_size=float(obj["cell_size_cm"]),
-                dims=tuple(int(d) for d in obj["dims"]),
+                dims=tuple(map(whole_number, obj["dims"])),
             )
-            occupied = frozenset(tuple(int(c) for c in cell) for cell in obj["occupied"])
+            occupied = frozenset(tuple(map(whole_number, cell)) for cell in obj["occupied"])
             if len(spec.origin) != 3 or len(spec.dims) != 3:
                 raise ValueError("origin_cm and dims must have 3 entries")
             if any(len(cell) != 3 for cell in obj["occupied"]):
                 raise ValueError("occupied cells must be index triples")
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            return cls(spec, occupied)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"not a valid occupancy grid document: {exc}") from exc
-        return cls(spec, occupied)
+
+
+def whole_number(value) -> int:
+    """A JSON index or count as an int; booleans and fractions raise."""
+    whole = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not whole or int(value) != value:  # int() of an infinity overflows
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def component_count(grid: OccupancyGrid) -> int:

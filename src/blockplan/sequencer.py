@@ -6,11 +6,12 @@ guarantees each placement touches the structure built so far.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
 from .checks import Cell, CheckKind, CheckResult, failed, passed
-from .discretizer import OccupancyGrid
+from .discretizer import OccupancyGrid, whole_number
 from .errors import EmptyAssembly, SchemaError, SequenceGridMismatch, Unsequenceable
 
 FACE_NEIGHBORS: tuple[Cell, ...] = (
@@ -50,10 +51,10 @@ class AssemblySequence:
     def from_json(cls, data: bytes | str) -> "AssemblySequence":
         try:
             obj = json.loads(data)
-            cells = tuple(tuple(int(c) for c in cell) for cell in obj["cells"])
+            cells = tuple(tuple(map(whole_number, cell)) for cell in obj["cells"])
             if any(len(cell) != 3 for cell in cells):
                 raise ValueError("cells must be index triples")
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"not a valid sequence document: {exc}") from exc
         return cls(cells)
 
@@ -98,25 +99,29 @@ def check_sequence_connectivity(
 def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
     """Layer-by-layer order in which every placement touches the structure.
 
-    Within a layer, the next cell is the smallest (i, j) among the cells that
-    share a face with a placed cell, as none is closer than that. When none
-    does, a ground cell nearest the placed ones (ties by (i, j)) starts a new
-    island, so the very first cell is the lexicographic minimum of layer 0.
-    Raises :class:`Unsequenceable` when a higher layer cannot be completed,
-    e.g. an arch whose keystone column only connects from above.
+    Each occupied layer keeps a heap of the cells touching the structure:
+    those resting on the finished layer below, plus each placed cell's
+    neighbours in the layer. The next cell is the heap's smallest (i, j), as
+    none is closer. When it runs empty on the ground, a cell nearest the
+    placed ones (ties by (i, j)) starts a new island, so the very first cell
+    is the lexicographic minimum of layer 0. Raises :class:`Unsequenceable`
+    when a higher layer cannot be completed, e.g. an arch whose keystone
+    column only connects from above.
     """
     if not grid.occupied:
         raise EmptyAssembly("grid has no occupied cells")
+    layers: dict[int, set[Cell]] = {}
+    for cell in grid.occupied:
+        layers.setdefault(cell[2], set()).add(cell)
     order: list[Cell] = []
     placed: set[Cell] = set()
-    for k in range(grid.spec.dims[2]):
-        remaining = {c for c in grid.occupied if c[2] == k}
+    for k in sorted(layers):
+        remaining = layers[k]
+        heap = sorted(c for c in remaining if (c[0], c[1], k - 1) in placed)
+        queued = set(heap)
         while remaining:
-            touching = [
-                c for c in remaining if any(nb in placed for nb in face_neighbors(c))
-            ]
-            if touching:
-                pick = min(touching)
+            if heap:
+                pick = heapq.heappop(heap)
             elif k == 0:  # one layer, so the cell itself orders by (i, j)
                 pick = min(remaining, key=lambda c: (_nearest_manhattan(c, placed), c))
             else:
@@ -126,6 +131,10 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
             order.append(pick)
             placed.add(pick)
             remaining.remove(pick)
+            for nb in face_neighbors(pick):
+                if nb in remaining and nb not in queued:
+                    queued.add(nb)
+                    heapq.heappush(heap, nb)
     return AssemblySequence(tuple(order))
 
 

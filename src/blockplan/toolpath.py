@@ -121,6 +121,8 @@ def plan_toolpath(
         commands.append(move(tx, ty, tz))
         commands.append(Command(CommandOp.RELEASE))
         commands.append(move(tx, ty, plane))
+    if not all(math.isfinite(v) for c in commands if c.xyz_mm for v in c.xyz_mm):
+        raise ConfigViolation("a toolpath coordinate is not finite in mm")
     return Toolpath(tuple(commands), params)
 
 

@@ -7,20 +7,13 @@ from dataclasses import dataclass
 from .checks import Cell
 from .config import AssemblyConfig
 from .discretizer import OccupancyGrid
-from .errors import BlockplanError
 from .feasibility import (
     FeasibilityReport,
     check_component_count,
     check_overhang,
     check_vertical_stack,
 )
-from .sequencer import (
-    AssemblySequence,
-    check_sequence_connectivity,
-    connectivity_sort,
-    face_neighbors,
-    require_coverage,
-)
+from .sequencer import AssemblySequence, face_neighbors, require_coverage
 
 
 @dataclass(frozen=True)
@@ -72,14 +65,14 @@ def simulate_assembly(
     cell_size = grid.spec.cell_size
     origin_z = grid.spec.origin[2]
     placed: set[Cell] = set()
+    column_top: dict[tuple[int, int], int] = {}  # highest placed k per (i, j)
     steps: list[PlacementStep] = []
     top_k = -1
     for cell in seq.cells:
         i, j, k = cell
         supported = k == 0 or any(nb in placed for nb in face_neighbors(cell))
-        corridor_clear = not any(
-            (i, j, above) in placed for above in range(k + 1, grid.spec.dims[2])
-        )
+        corridor_clear = column_top.get((i, j), -1) < k
+        column_top[(i, j)] = max(column_top.get((i, j), -1), k)
         top_k = max(top_k, k)
         top_z = origin_z + (top_k + 1) * cell_size
         plane_clear = config.movement_plane_z >= top_z + config.clearance - 1e-9
@@ -92,23 +85,19 @@ def simulate_assembly(
 def verify_report_consistency(
     report: FeasibilityReport, grid: OccupancyGrid, config: AssemblyConfig
 ) -> bool:
-    """Recompute all four checks on the final grid and recount components.
+    """Recompute the checks on the final grid and recount components.
 
-    True only when everything passes and the report's final count matches.
-    Used as the pipeline's last gate against stale or tampered reports.
+    True only when the grid is non-empty, everything passes and the report's
+    final count matches. Used as the pipeline's last gate against stale or
+    tampered reports. Connectivity is not re-sorted: passing the overhang
+    check puts every cell of a layer k > 0 in reach, within its layer, of a
+    cell resting on layer k - 1, so ``connectivity_sort`` cannot fail there
+    and its order passes ``check_sequence_connectivity``.
     """
-    if report.final_component_count != len(grid.occupied):
+    if not grid.occupied or report.final_component_count != len(grid.occupied):
         return False
-    try:
-        if check_component_count(grid, config.inventory).failed:
-            return False
-        if check_overhang(grid, config.overhang_limit).failed:
-            return False
-        if check_vertical_stack(grid, config.stack_limit).failed:
-            return False
-        seq = connectivity_sort(grid)
-        if check_sequence_connectivity(seq, grid).failed:
-            return False
-    except BlockplanError:
-        return False
-    return True
+    return not (
+        check_component_count(grid, config.inventory).failed
+        or check_overhang(grid, config.overhang_limit).failed
+        or check_vertical_stack(grid, config.stack_limit).failed
+    )

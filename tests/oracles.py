@@ -1,13 +1,14 @@
 """Slow reference implementations of the mesh front end, the feasibility
-rules and the connectivity-aware sort.
+rules, the connectivity-aware sort and the build simulation.
 
 These are the original per-vertex, per-triangle and per-cell loops of
 ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer overhang
-search and run-list stack rule of ``blockplan.feasibility``, and the
-all-pairs distance sort of ``blockplan.sequencer``. The randomized
-equivalence tests require the current implementations to reproduce them
-exactly: same vertices, triangles, repair summary, occupied cells, check
-details, rewritten grids, placement orders and errors.
+search and run-list stack rule of ``blockplan.feasibility``, the all-pairs
+distance sort of ``blockplan.sequencer`` and the column-scan replay of
+``blockplan.validator``. The randomized equivalence tests require the
+current implementations to reproduce them exactly: same vertices,
+triangles, repair summary, occupied cells, check details, rewritten grids,
+placement orders, errors and simulation reports.
 The weld oracle needs scipy, which is a test-only dependency.
 """
 from __future__ import annotations
@@ -28,7 +29,8 @@ from blockplan.mesh_io import (
     TriangleMesh,
     is_manifold,
 )
-from blockplan.sequencer import face_neighbors
+from blockplan.sequencer import AssemblySequence, face_neighbors, require_coverage
+from blockplan.validator import PlacementStep, SimulationReport
 
 # --- repair ------------------------------------------------------------------
 
@@ -409,3 +411,30 @@ def connectivity_sort(grid: OccupancyGrid) -> tuple[Cell, ...]:
 def _nearest_manhattan(cell: Cell, placed: set[Cell]) -> int:
     ci, cj, ck = cell
     return min(abs(ci - i) + abs(cj - j) + abs(ck - k) for i, j, k in placed)
+
+
+# --- simulation ------------------------------------------------------------------
+
+
+def simulate_assembly(seq: AssemblySequence, grid: OccupancyGrid, config) -> SimulationReport:
+    """Replay that checks each corridor by scanning the column up to the
+    grid's height."""
+    require_coverage(seq, grid)
+    cell_size = grid.spec.cell_size
+    origin_z = grid.spec.origin[2]
+    placed: set[Cell] = set()
+    steps: list[PlacementStep] = []
+    top_k = -1
+    for cell in seq.cells:
+        i, j, k = cell
+        supported = k == 0 or any(nb in placed for nb in face_neighbors(cell))
+        corridor_clear = not any(
+            (i, j, above) in placed for above in range(k + 1, grid.spec.dims[2])
+        )
+        top_k = max(top_k, k)
+        top_z = origin_z + (top_k + 1) * cell_size
+        plane_clear = config.movement_plane_z >= top_z + config.clearance - 1e-9
+        steps.append(PlacementStep(cell, supported, corridor_clear, plane_clear))
+        placed.add(cell)
+    first_failure = next((n for n, s in enumerate(steps) if not s.ok), None)
+    return SimulationReport(first_failure is None, tuple(steps), first_failure)

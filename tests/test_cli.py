@@ -232,6 +232,83 @@ def test_validate_reports_bad_sequence(tmp_path, capsys):
     assert "failed at step 0" in capsys.readouterr().err
 
 
+def _stage(tmp_path, grid_doc: str, cells: str = "[[0, 0, 0]]") -> list[str]:
+    """Write a raw grid and sequence document; return their CLI arguments."""
+    (tmp_path / "grid.json").write_text(grid_doc)
+    (tmp_path / "seq.json").write_text(f'{{"cells": {cells}}}')
+    return ["--grid", str(tmp_path / "grid.json"), "--sequence", str(tmp_path / "seq.json")]
+
+
+def _grid_doc(cell_size="10.0", dims="[2, 2, 2]", occupied="[[0, 0, 0]]") -> str:
+    return (f'{{"cell_size_cm": {cell_size}, "origin_cm": [0, 0, 0], '
+            f'"dims": {dims}, "occupied": {occupied}}}')
+
+
+def test_tall_one_cell_grid_sequences_and_validates_quickly(tmp_path):
+    # nothing walks the grid's height: a 1e8-layer grid holding one cell is instant
+    files = _stage(tmp_path, _grid_doc(dims="[2, 2, 100000000]"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    for argv in (["sequence", *files[:2]], ["validate", *files]):
+        done = subprocess.run(
+            [sys.executable, "-m", "blockplan.cli", *argv, "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+    order = json.loads((tmp_path / "out" / "sequence.json").read_bytes())["cells"]
+    assert order == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("where", ["grid", "sequence"])
+@pytest.mark.parametrize("index", ["0.7", "true", "1e400", "NaN", "\"0\""])
+def test_stage_documents_take_whole_number_indices(tmp_path, where, index):
+    cells = f"[[{index}, 0, 0]]"
+    if where == "grid":
+        files = _stage(tmp_path, _grid_doc(occupied=cells))
+    else:
+        files = _stage(tmp_path, _grid_doc(), cells)
+    for command in ("toolpath", "validate"):
+        assert main([command, *files, "--out-dir", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dims", ["[2, 2.5, 2]", "[2, true, 2]", "[2, 2, 1e400]",
+                                  f"[2, 2, 1{'0' * 400}]"])
+def test_grid_dims_must_be_whole_numbers(tmp_path, dims):
+    files = _stage(tmp_path, _grid_doc(dims=dims))
+    assert main(["sequence", *files[:2], "--out-dir", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("cell_size", ["NaN", "Infinity", "1e308"])
+def test_grid_with_non_finite_geometry_is_schema_error(tmp_path, cell_size):
+    files = _stage(tmp_path, _grid_doc(cell_size=cell_size))
+    assert main(["toolpath", *files, "--out-dir", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override", ["tool_offset_z=1e999", "movement_plane_z=1e999", "source=[1e999,0,0]"]
+)
+def test_toolpath_rejects_infinite_coordinates(tmp_path, override):
+    files = _stage(tmp_path, _grid_doc())
+    out = tmp_path / "out"
+    code = main(["toolpath", *files, "--set", override, "--out-dir", str(out)])
+    assert code == EXIT_CONFIG_VIOLATION
+    assert not out.exists()
+
+
+def test_mesh_welded_to_nothing_is_empty_mesh(demo_mesh_files, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "pipeline", "--mesh", demo_mesh_files["tee"],
+        "--set", "mesh_unit_scale=1e-9", "--out-dir", str(out),
+    ])
+    assert code == EXIT_EMPTY_MESH
+    assert "no triangles" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- input errors ----------------------------------------------------------
 
 

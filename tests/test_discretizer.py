@@ -129,6 +129,22 @@ def test_grid_spec_validation():
     assert not spec.contains((3, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "origin, cell_size, dims",
+    [
+        ((0.0, float("nan"), 0.0), 10.0, (1, 1, 1)),
+        ((float("-inf"), 0.0, 0.0), 10.0, (1, 1, 1)),
+        ((0.0, 0.0, 0.0), float("nan"), (1, 1, 1)),
+        ((0.0, 0.0, 0.0), float("inf"), (1, 1, 1)),
+        ((0.0, 0.0, 0.0), 1e308, (2, 1, 1)),  # the far corner overflows
+        ((1e308, 0.0, 0.0), 1e308, (1, 1, 1)),
+    ],
+)
+def test_grid_spec_rejects_non_finite_geometry(origin, cell_size, dims):
+    with pytest.raises(ValueError):
+        GridSpec(origin, cell_size, dims)
+
+
 # --- voxelize --------------------------------------------------------------------
 
 

@@ -7,13 +7,15 @@ cover cell designs, jittered and duplicated triangle soups, open spheres
 and randomly flipped Moebius strips at several cell sizes, plus the four
 demo meshes and icospheres. Random occupancy grids hold the overhang and
 stack checks, both rewrites and the placement order (or its error) to the
-old per-layer searches.
+old per-layer searches, and random placement orders hold the build
+simulation to the old column scan.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from blockplan.config import AssemblyConfig
 from blockplan.discretizer import (
     GridSpec,
     OccupancyGrid,
@@ -37,7 +39,13 @@ from blockplan.mesh_io import (
     bounding_box,
     repair_mesh,
 )
-from blockplan.sequencer import connectivity_sort, face_neighbors
+from blockplan.sequencer import (
+    AssemblySequence,
+    check_sequence_connectivity,
+    connectivity_sort,
+    face_neighbors,
+)
+from blockplan.validator import simulate_assembly
 from blockplan.shapes import (
     box_mesh,
     cell_design_mesh,
@@ -278,3 +286,41 @@ def test_connectivity_sort_matches_oracle():
             multi_island += ground_islands(ours) > 1
     # the seeded grids exercise both the error and the new-island search
     assert unsequenceable >= 100 and multi_island >= 100
+
+
+def test_overhang_pass_guarantees_a_connected_sort():
+    # run_feasibility and verify_report_consistency skip the sort on grids
+    # that pass the overhang check; this is the fact they rely on
+    rng = np.random.default_rng(23)
+    cases = 0
+    for _ in range(300):
+        grid = random_grid(rng)
+        for limit in range(4):
+            for candidate in (grid, remove_overhangs(grid, limit)):
+                if not candidate.occupied or check_overhang(candidate, limit).failed:
+                    continue
+                order = connectivity_sort(candidate)
+                assert check_sequence_connectivity(order, candidate).passed
+                cases += 1
+    assert cases >= 1000
+
+
+def test_simulation_matches_column_scan_oracle():
+    rng = np.random.default_rng(29)
+    passes = failures = 0
+    for _ in range(300):
+        grid = random_grid(rng)
+        if not grid.occupied:
+            continue
+        cells = sorted(grid.occupied)
+        orders = [AssemblySequence(tuple(cells[n] for n in rng.permutation(len(cells))))]
+        if not isinstance(outcome(connectivity_sort, grid)[0], str):
+            orders.append(connectivity_sort(grid))
+        for order in orders:
+            for plane in (65.0, 20.0):  # 20 cm fails the plane clearance on tall grids
+                config = AssemblyConfig(movement_plane_z=plane)
+                report = simulate_assembly(order, grid, config)
+                assert report == oracles.simulate_assembly(order, grid, config)
+                passes += report.ok
+                failures += not report.ok
+    assert passes >= 100 and failures >= 100

@@ -167,6 +167,21 @@ def test_plan_rejects_source_inside_footprint(grid_factory, config):
         planned(grid, inside)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tool_offset_z": math.inf},
+        {"tool_offset_z": -1e308},  # finite in cm, past the float range in mm
+        {"movement_plane_z": math.inf},
+        {"source": (-math.inf, 0.0, 0.0)},
+    ],
+)
+def test_plan_rejects_non_finite_coordinates(grid_factory, config, change):
+    grid = grid_factory([(0, 0, 0)])
+    with pytest.raises(ConfigViolation):
+        planned(grid, dataclasses.replace(config, **change))
+
+
 # --- duration model --------------------------------------------------------
 
 
