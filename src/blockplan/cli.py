@@ -166,13 +166,13 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
     sim = simulate_assembly(seq, grid, cfg)
     consistent = verify_report_consistency(report, grid, cfg)
+    duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
 
     _write(out_dir, "grid.json", grid.to_json())
     _write(out_dir, "report.json", report.to_json())
     _write(out_dir, "sequence.json", seq.to_json())
     _write_toolpath(out_dir, path, args.format)
 
-    duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
     summary = repaired.repair
     lines = [
         "blockplan pipeline summary",
@@ -248,8 +248,8 @@ def _cmd_toolpath(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = AssemblySequence.from_json(Path(args.sequence).read_bytes())
     path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
-    written = _write_toolpath(Path(args.out_dir), path, args.format)
     duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
+    written = _write_toolpath(Path(args.out_dir), path, args.format)
     print(f"{len(path)} commands, estimated {duration:.1f} s -> {written}")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .discretizer import DEFAULT_CELL_SIZE, Workspace
+from .discretizer import DEFAULT_CELL_SIZE, Workspace, whole_number
 from .errors import SchemaError
 from .mesh_io import DEFAULT_WELD_TOLERANCE
 
@@ -112,15 +112,18 @@ def _convert(kind: str, value):
     if kind in ("Workspace", "tuple[float, float, float]"):
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ValueError("needs a 3-element list")
-        triple = tuple(float(v) for v in value)
+        triple = tuple(map(_real, value))
         return Workspace(triple) if kind == "Workspace" else triple
     if kind == "int":
-        number = int(value)
-        if isinstance(value, float) and number != value:
-            raise ValueError("not a whole number")
-        return number
+        return whole_number(value)
     if kind.startswith("str"):
         if not isinstance(value, str):
             raise TypeError("needs a string")
         return value
+    return _real(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise TypeError("needs a number, not a boolean")
     return float(value)

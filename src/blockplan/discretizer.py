@@ -2,8 +2,9 @@
 
 A mesh is scaled into the robot workspace, overlaid with a uniform cubic
 grid anchored at the bounding-box minimum, and each cell is marked occupied
-if the surface intersects it or, for watertight meshes, if its center lies
-inside the solid.
+if the surface intersects it or if its center lies inside the solid by the
+generalized winding number, which also holds on open, non-manifold and
+self-overlapping meshes.
 """
 from __future__ import annotations
 
@@ -14,17 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .mesh_io import Aabb, TriangleMesh, bounding_box, is_manifold
+from .mesh_io import Aabb, TriangleMesh, bounding_box
 
 DEFAULT_CELL_SIZE = 10.0  # cm, cubic component edge
 
 # Separating-axis tolerance. Touching counts as intersecting, so a face
 # lying exactly on a cell boundary claims both cells.
 SAT_EPSILON = 1e-9
-
-# Interior parity rays get a slight xy tilt so they cannot run inside an
-# axis-aligned face and never graze shared edges of grid-aligned meshes.
-_RAY_DIR = np.array([1.2339e-4, 2.7193e-5, 1.0])
 
 # (triangle, cell) pairs per batch of the surface and interior tests; bounds
 # the temporaries at a few MB whatever the mesh and grid size
@@ -160,14 +157,15 @@ def build_grid(box: Aabb, cell_size: float = DEFAULT_CELL_SIZE) -> GridSpec:
 
 
 def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
-    """Mark every cell the surface intersects; fill the interior if watertight.
+    """Mark every cell the surface intersects, then every cell inside it.
 
     The surface test is an exact triangle/box separating-axis test with a
     1e-9 epsilon (touching counts), run over every (triangle, cell) pair
-    with the cell inside the triangle's bounding range. For manifold
-    meshes, cells without surface contact are additionally tested by
-    casting a parity ray from the cell center, which also fills enclosed
-    cavities. Both tests run in fixed-size batches. Deterministic.
+    with the cell inside the triangle's bounding range. A cell without
+    surface contact is inside when the mesh's generalized winding number at
+    its center exceeds 1/2 in magnitude: the solid with its enclosed
+    cavities, also for open, non-manifold or overlapping-part meshes. Both
+    tests run in fixed-size batches. Deterministic.
     """
     cell = spec.cell_size
     origin = np.asarray(spec.origin, dtype=np.float64)
@@ -175,8 +173,7 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
     coords = mesh.triangle_coords()
     if len(coords):
         _mark_surface(coords, origin, cell, filled)
-        if is_manifold(mesh):
-            _mark_interior(coords, origin, cell, filled)
+        _mark_interior(coords, origin, cell, filled)
     occupied = frozenset(map(tuple, np.argwhere(filled).tolist()))
     return OccupancyGrid(spec, occupied)
 
@@ -269,34 +266,27 @@ def _abs_sum(rows: np.ndarray) -> np.ndarray:
 def _mark_interior(
     coords: np.ndarray, origin: np.ndarray, cell: float, filled: np.ndarray
 ) -> None:
-    """Even-odd parity of the tilted ray from each free cell center,
-    Moller-Trumbore over (cell, triangle) pairs."""
+    """Fill each free cell whose center has a generalized winding number
+    |w| > 1/2 (Jacobson, Kavan & Sorkine-Hornung 2013): the triangles' Van
+    Oosterom-Strackee solid angles, tan(omega / 2) = det / den, over 4 pi.
+    A free cell's box touches no triangle, so on a closed mesh its center
+    is half a cell or more off the surface and w is an integer up to rounding.
+    """
     free = np.argwhere(~filled)
-    if not len(free):
-        return
-    v0 = coords[:, 0]
-    e1 = coords[:, 1] - v0
-    e2 = coords[:, 2] - v0
-    h = np.cross(_RAY_DIR, e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(det) > 1e-12
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tol = 1e-12
-
-    n = len(coords)
-    per_batch = min(len(free), max(1, _BATCH_PAIRS // n))
-    # per-pair copies of the per-triangle terms, laid out as one cell's rows
-    # repeated, so each product below sees the operands of a single-cell call
-    h_rows, e1_rows, e2_rows = (np.tile(x, (per_batch, 1)) for x in (h, e1, e2))
+    corners = coords.transpose(1, 2, 0)[:, :, None, :]  # corner, axis, 1, triangle
+    per_batch = max(1, _BATCH_PAIRS // len(coords))
     for begin in range(0, len(free), per_batch):
         cells = free[begin:begin + per_batch]
-        rows = len(cells) * n
-        s = ((origin + (cells + 0.5) * cell)[:, None, :] - v0).reshape(rows, 3)
-        u = np.einsum("ij,ij->i", s, h_rows[:rows]).reshape(-1, n)
-        q = np.cross(s, e1_rows[:rows])
-        view = inv * (q.reshape(-1, n, 3) @ _RAY_DIR)
-        t = np.einsum("ij,ij->i", e2_rows[:rows], q).reshape(-1, n)
-        u, t = inv * u, inv * t
-        hits = ok & (u >= -tol) & (view >= -tol) & (u + view <= 1.0 + tol) & (t > tol)
-        inside = hits.sum(axis=1) % 2 == 1
-        filled[tuple(cells[inside].T)] = True
+        # corner offsets from each center, laid out axis, cell, triangle
+        a, b, c = corners - (origin + (cells + 0.5) * cell).T[:, :, None]
+        la, lb, lc = (np.sqrt(_dot(v, v)) for v in (a, b, c))
+        det = _dot(a, (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
+                       b[0] * c[1] - b[1] * c[0]))
+        den = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la + _dot(c, a) * lb
+        w = np.arctan2(det, den).sum(axis=1) / (2.0 * np.pi)
+        filled[tuple(cells[np.abs(w) > 0.5].T)] = True
+
+
+def _dot(u, v) -> np.ndarray:
+    """Dot product over the leading axis, in x + y + z order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]

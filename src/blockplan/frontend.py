@@ -124,8 +124,6 @@ class GuidedPrompt:
 class LanguageModelClient(ABC):
     """Text-completion backend. Responses are untrusted strings."""
 
-    timeout_s: float = 30.0
-
     @abstractmethod
     def complete(self, prompt: str, user_text: str) -> str:
         """Return the model's answer for ``user_text`` under ``prompt``."""
@@ -156,8 +154,6 @@ def filter_request(
     prompt = prompt or GuidedPrompt()
     try:
         response = client.complete(prompt.render(), text)
-    except ClientUnavailable:
-        raise
     except (TimeoutError, ConnectionError, OSError) as exc:
         raise ClientUnavailable(f"language model client failed: {exc}") from exc
     phrase = response.strip()

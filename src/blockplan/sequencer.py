@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 from .checks import Cell, CheckKind, CheckResult, failed, passed
@@ -104,9 +105,10 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
     neighbours in the layer. The next cell is the heap's smallest (i, j), as
     none is closer. When it runs empty on the ground, a cell nearest the
     placed ones (ties by (i, j)) starts a new island, so the very first cell
-    is the lexicographic minimum of layer 0. Raises :class:`Unsequenceable`
-    when a higher layer cannot be completed, e.g. an arch whose keystone
-    column only connects from above.
+    is the lexicographic minimum of layer 0. Ground cells keep their distance
+    to the placed ones, updated at each island start. Raises
+    :class:`Unsequenceable` when a higher layer cannot be completed, e.g. an
+    arch whose keystone column only connects from above.
     """
     if not grid.occupied:
         raise EmptyAssembly("grid has no occupied cells")
@@ -115,6 +117,9 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
         layers.setdefault(cell[2], set()).add(cell)
     order: list[Cell] = []
     placed: set[Cell] = set()
+    # ground cell -> Manhattan distance to the first `measured` placements
+    gap = dict.fromkeys(layers.get(0, ()), math.inf)
+    measured = 0
     for k in sorted(layers):
         remaining = layers[k]
         heap = sorted(c for c in remaining if (c[0], c[1], k - 1) in placed)
@@ -123,7 +128,11 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
             if heap:
                 pick = heapq.heappop(heap)
             elif k == 0:  # one layer, so the cell itself orders by (i, j)
-                pick = min(remaining, key=lambda c: (_nearest_manhattan(c, placed), c))
+                for i, j, _ in order[measured:]:
+                    for c in remaining:
+                        gap[c] = min(gap[c], abs(c[0] - i) + abs(c[1] - j))
+                measured = len(order)
+                pick = min(remaining, key=lambda c: (gap[c], c))
             else:
                 raise Unsequenceable(
                     f"layer {k}: cell {min(remaining)} is unreachable from the structure"
@@ -137,7 +146,3 @@ def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:
                     heapq.heappush(heap, nb)
     return AssemblySequence(tuple(order))
 
-
-def _nearest_manhattan(cell: Cell, placed: set[Cell]) -> int:
-    ci, cj, ck = cell
-    return min((abs(ci - i) + abs(cj - j) + abs(ck - k) for i, j, k in placed), default=0)

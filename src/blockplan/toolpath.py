@@ -153,11 +153,14 @@ def estimate_duration(
     Segments too short to reach cruise velocity (d < v^2/a) use the
     triangular profile 2*sqrt(d/a). ``unit_scale`` rescales the configured
     velocity and acceleration for setups whose units differ from mm/s.
+    Raises :class:`ConfigViolation` when the total is not a finite float.
     """
     if dwell_s < 0 or unit_scale <= 0:
         raise ValueError("dwell_s must be >= 0 and unit_scale positive")
     v = path.params.velocity * unit_scale
     a = path.params.acceleration * unit_scale
+    if not (v > 0 and a > 0):  # the scaled limits underflowed
+        raise ConfigViolation("velocity and acceleration underflow at this motion_unit_scale")
     total = 0.0
     position: tuple[float, float, float] | None = None
     for command in path.commands:
@@ -172,6 +175,8 @@ def estimate_duration(
             position = command.xyz_mm
         else:
             total += dwell_s
+    if not math.isfinite(total):
+        raise ConfigViolation(f"the estimated build time is not finite ({total} s)")
     return total
 
 

@@ -8,7 +8,9 @@ distance sort of ``blockplan.sequencer`` and the column-scan replay of
 ``blockplan.validator``. The randomized equivalence tests require the
 current implementations to reproduce them exactly: same vertices,
 triangles, repair summary, occupied cells, check details, rewritten grids,
-placement orders, errors and simulation reports.
+placement orders, errors and simulation reports. The voxelizer has two
+interior tests here: the even-odd parity ray it used on closed meshes,
+and a per-cell generalized winding number that holds on every mesh.
 The weld oracle needs scipy, which is a test-only dependency.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from blockplan.checks import Cell, CheckKind, CheckResult, failed, passed
-from blockplan.discretizer import _RAY_DIR, SAT_EPSILON, GridSpec, OccupancyGrid
+from blockplan.discretizer import SAT_EPSILON, GridSpec, OccupancyGrid
 from blockplan.errors import EmptyAssembly, Unsequenceable
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
@@ -166,9 +168,26 @@ def is_manifold_triangles(tris: np.ndarray) -> bool:
 
 # --- voxelize ------------------------------------------------------------------
 
+# Interior parity rays get a slight xy tilt so they cannot run inside an
+# axis-aligned face and never graze shared edges of grid-aligned meshes.
+_RAY_DIR = np.array([1.2339e-4, 2.7193e-5, 1.0])
+
 
 def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
-    """Per-triangle, per-candidate-cell SAT plus one parity ray per free cell."""
+    """Per-triangle, per-candidate-cell SAT plus, on a manifold mesh, one
+    parity ray per free cell. On a closed mesh without overlapping parts
+    this is the winding-number contract; elsewhere it leaves a shell or
+    holes."""
+    return _voxelize(mesh, spec, point_inside if is_manifold(mesh) else None)
+
+
+def winding_voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
+    """Per-triangle, per-candidate-cell SAT plus one winding number per free
+    cell, on every mesh."""
+    return _voxelize(mesh, spec, winding_inside)
+
+
+def _voxelize(mesh: TriangleMesh, spec: GridSpec, inside) -> OccupancyGrid:
     cell = spec.cell_size
     origin = np.asarray(spec.origin, dtype=np.float64)
     dims = np.asarray(spec.dims, dtype=np.int64)
@@ -193,7 +212,7 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
                     if triangle_box_intersect(tri, center, half):
                         occupied.add(key)
 
-    if len(coords) and is_manifold(mesh):
+    if len(coords) and inside is not None:
         for i in range(spec.dims[0]):
             for j in range(spec.dims[1]):
                 for k in range(spec.dims[2]):
@@ -201,7 +220,7 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
                     if key in occupied:
                         continue
                     center = origin + (np.array([i, j, k]) + 0.5) * cell
-                    if point_inside(center, coords):
+                    if inside(center, coords):
                         occupied.add(key)
 
     return OccupancyGrid(spec, frozenset(occupied))
@@ -260,6 +279,17 @@ def point_inside(point: np.ndarray, coords: np.ndarray) -> bool:
     tol = 1e-12
     hits = ok & (u >= -tol) & (view >= -tol) & (u + view <= 1.0 + tol) & (t > tol)
     return bool(hits.sum() % 2 == 1)
+
+
+def winding_inside(point: np.ndarray, coords: np.ndarray) -> bool:
+    """|w| > 1/2 for the generalized winding number at ``point``: the sum of
+    the triangles' Van Oosterom-Strackee solid angles over 4 pi."""
+    a, b, c = (coords[:, v] - point for v in range(3))
+    la, lb, lc = (np.linalg.norm(v, axis=1) for v in (a, b, c))
+    ab, bc, ca = ((u * v).sum(axis=1) for u, v in ((a, b), (b, c), (c, a)))
+    det = (a * np.cross(b, c)).sum(axis=1)
+    den = la * lb * lc + ab * lc + bc * la + ca * lb
+    return bool(abs(np.arctan2(det, den).sum() / (2.0 * math.pi)) > 0.5)
 
 
 # --- feasibility rules -----------------------------------------------------------

@@ -239,25 +239,48 @@ def _stage(tmp_path, grid_doc: str, cells: str = "[[0, 0, 0]]") -> list[str]:
     return ["--grid", str(tmp_path / "grid.json"), "--sequence", str(tmp_path / "seq.json")]
 
 
-def _grid_doc(cell_size="10.0", dims="[2, 2, 2]", occupied="[[0, 0, 0]]") -> str:
-    return (f'{{"cell_size_cm": {cell_size}, "origin_cm": [0, 0, 0], '
+def _grid_doc(cell_size="10.0", dims="[2, 2, 2]", occupied="[[0, 0, 0]]",
+              origin="[0, 0, 0]") -> str:
+    return (f'{{"cell_size_cm": {cell_size}, "origin_cm": {origin}, '
             f'"dims": {dims}, "occupied": {occupied}}}')
+
+
+def _run_quickly(argv: list[str]) -> None:
+    """Run the CLI in a subprocess that must exit 0 within 10 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "blockplan.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
 
 
 def test_tall_one_cell_grid_sequences_and_validates_quickly(tmp_path):
     # nothing walks the grid's height: a 1e8-layer grid holding one cell is instant
     files = _stage(tmp_path, _grid_doc(dims="[2, 2, 100000000]"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ))
     for argv in (["sequence", *files[:2]], ["validate", *files]):
-        done = subprocess.run(
-            [sys.executable, "-m", "blockplan.cli", *argv, "--out-dir", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=10,
-        )
-        assert done.returncode == EXIT_OK, done.stderr
+        _run_quickly([*argv, "--out-dir", str(tmp_path / "out")])
     order = json.loads((tmp_path / "out" / "sequence.json").read_bytes())["cells"]
     assert order == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("dims, cells, second", [
+    # 800 one-cell islands, so 800 island starts: an all-pairs search per
+    # start is O(n^3)
+    ("[40, 40, 1]", [[i, j, 0] for i in range(40) for j in range(40) if (i + j) % 2 == 0],
+     [0, 2, 0]),
+    # islands far apart: a search that walks the empty cells between them hangs
+    ("[1000000000, 1000000000, 1]", [[0, 0, 0], [999999999, 999999999, 0], [5, 10**8, 0]],
+     [5, 10**8, 0]),
+], ids=["checkerboard", "far-apart"])
+def test_ground_islands_sequence_quickly(tmp_path, dims, cells, second):
+    files = _stage(tmp_path, _grid_doc(dims=dims, occupied=json.dumps(cells)))
+    _run_quickly(["sequence", *files[:2], "--out-dir", str(tmp_path / "out")])
+    order = json.loads((tmp_path / "out" / "sequence.json").read_bytes())["cells"]
+    assert sorted(order) == sorted(cells)
+    assert order[:2] == [[0, 0, 0], second]  # then the nearest island, ties by (i, j)
 
 
 @pytest.mark.parametrize("where", ["grid", "sequence"])
@@ -294,6 +317,30 @@ def test_toolpath_rejects_infinite_coordinates(tmp_path, override):
     files = _stage(tmp_path, _grid_doc())
     out = tmp_path / "out"
     code = main(["toolpath", *files, "--set", override, "--out-dir", str(out)])
+    assert code == EXIT_CONFIG_VIOLATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("origin, cell_size, overrides", [
+    # finite coordinates whose distance overflows a float
+    ("[1e307, 0, 0]", "1e306", ["source=[-1e307,0,0]"]),
+    # limits whose scaled product underflows to zero
+    ("[0, 0, 0]", "10.0", ["velocity=1e-200", "motion_unit_scale=1e-200"]),
+], ids=["distance-overflow", "limit-underflow"])
+def test_toolpath_rejects_a_non_finite_estimate(tmp_path, origin, cell_size, overrides):
+    files = _stage(tmp_path, _grid_doc(cell_size=cell_size, dims="[1, 1, 1]", origin=origin))
+    out = tmp_path / "out"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["toolpath", *files, *sets, "--out-dir", str(out)]) == EXIT_CONFIG_VIOLATION
+    assert not out.exists()
+
+
+def test_pipeline_rejects_a_non_finite_estimate(demo_mesh_files, tmp_path):
+    out = tmp_path / "out"
+    code = main([
+        "pipeline", "--mesh", demo_mesh_files["tee"], "--set", "velocity=1e-200",
+        "--set", "motion_unit_scale=1e-200", "--out-dir", str(out),
+    ])
     assert code == EXIT_CONFIG_VIOLATION
     assert not out.exists()
 
@@ -434,6 +481,9 @@ def test_config_file_that_is_not_text(tmp_path):
         "max_upscale=-2",
         "mesh_unit_scale=-1",
         "mesh_unit_scale=0",
+        "inventory=true",
+        "cell_size=true",
+        "source=[true,0,0]",
     ],
 )
 def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):

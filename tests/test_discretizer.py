@@ -17,7 +17,7 @@ from blockplan.discretizer import (
 )
 from blockplan.errors import EmptyMesh, SchemaError
 from blockplan.mesh_io import TriangleMesh, bounding_box, repair_mesh
-from blockplan.shapes import box_mesh, icosphere, tee_mesh
+from blockplan.shapes import box_mesh, combine_meshes, icosphere, tee_mesh
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -167,9 +167,9 @@ def test_voxelize_long_box_three_cells():
         assert frac == 1.0 and cell in grid.occupied
 
 
-def test_voxelize_interior_cell_requires_watertight_mesh():
+def test_voxelize_interior_cell_needs_no_watertight_mesh():
     # 3x3x3 solid: the center cell touches no surface and is found by the
-    # interior rule alone; removing one triangle disables that rule.
+    # interior rule alone, which still finds it with one triangle removed.
     solid = repair_mesh(box_mesh((0.0, 0.0, 0.0), (30.0, 30.0, 30.0)))
     spec = build_grid(bounding_box(solid), 10.0)
     assert voxelize(solid, spec).occupied == set(all_cells(spec))
@@ -178,9 +178,32 @@ def test_voxelize_interior_cell_requires_watertight_mesh():
         TriangleMesh(solid.vertices, solid.triangles[:-1]), weld_tolerance=0.0
     )
     assert open_mesh.repair.manifold is False
-    opened = voxelize(open_mesh, spec)
-    assert (1, 1, 1) not in opened.occupied
-    assert len(opened.occupied) == 26
+    assert voxelize(open_mesh, spec).occupied == set(all_cells(spec))
+
+
+@pytest.mark.parametrize("cell, count", [(10.0, 27), (5.0, 184), (2.5, 1256)])
+def test_open_sphere_voxelizes_like_the_closed_one(cell, count):
+    # the parity ray ran on closed meshes only: 26 / 152 / 656 cells here
+    sphere = icosphere(15.0, (20.0, 20.0, 20.0), subdivisions=3)
+    opened = TriangleMesh(sphere.vertices, sphere.triangles[1:])
+    grids = []
+    for mesh in (sphere, opened):
+        fitted, _ = fit_to_workspace(repair_mesh(mesh), Workspace())
+        grids.append(voxelize(fitted, build_grid(bounding_box(fitted), cell)).occupied)
+    assert len(grids[0]) == count
+    assert grids[1] == grids[0]
+
+
+def test_overlapping_boxes_fill_their_overlap():
+    # two closed boxes sharing x in [20, 50]: even-odd parity left (3, 1, 1)
+    # empty, where a ray from its center crosses both boxes' walls
+    mesh = repair_mesh(combine_meshes([
+        box_mesh((0.0, 0.0, 0.0), (50.0, 30.0, 30.0)),
+        box_mesh((20.0, 0.0, 0.0), (70.0, 30.0, 30.0)),
+    ]))
+    spec = build_grid(bounding_box(mesh), 10.0)
+    assert spec.dims == (7, 3, 3)
+    assert voxelize(mesh, spec).occupied == set(all_cells(spec))
 
 
 def test_voxelize_sphere_matches_sampling_oracle():
