@@ -79,7 +79,7 @@ def _load_config(args: argparse.Namespace) -> AssemblyConfig:
     if args.config:
         try:
             values = json.loads(Path(args.config).read_text("utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SchemaError(f"cannot load config {args.config}: {exc}") from exc
         if not isinstance(values, dict):
             raise SchemaError(f"config {args.config} must be a JSON object")
@@ -91,6 +91,8 @@ def _load_config(args: argparse.Namespace) -> AssemblyConfig:
             values[key.strip()] = json.loads(raw)
         except json.JSONDecodeError:
             values[key.strip()] = raw
+        except RecursionError as exc:
+            raise SchemaError(f"--set {key.strip()}: value nested too deeply") from exc
     return AssemblyConfig.from_mapping(values)
 
 

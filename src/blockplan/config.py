@@ -70,8 +70,8 @@ class AssemblyConfig:
             raise ValueError("clearance must be >= 0")
         if self.overhang_limit < 0 or self.stack_limit < 1:
             raise ValueError("overhang_limit >= 0 and stack_limit >= 1 required")
-        if self.velocity <= 0 or self.acceleration <= 0:
-            raise ValueError("velocity and acceleration must be positive")
+        if not (0 < self.velocity < math.inf and 0 < self.acceleration < math.inf):
+            raise ValueError("velocity and acceleration must be positive and finite")
         if self.gripper_dwell_s < 0 or self.motion_unit_scale <= 0:
             raise ValueError("gripper_dwell_s >= 0 and motion_unit_scale > 0 required")
         if self.weld_tolerance < 0:
@@ -124,6 +124,7 @@ def _convert(kind: str, value):
 
 
 def _real(value) -> float:
-    if isinstance(value, bool):  # float(True) would read it as 1.0
-        raise TypeError("needs a number, not a boolean")
+    # a JSON number only: float() would also read "5", ".5" and true
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"needs a JSON number, not {type(value).__name__}")
     return float(value)

@@ -107,7 +107,7 @@ class OccupancyGrid:
             if any(len(cell) != 3 for cell in obj["occupied"]):
                 raise ValueError("occupied cells must be index triples")
             return cls(spec, occupied)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"not a valid occupancy grid document: {exc}") from exc
 
 

@@ -16,13 +16,7 @@ import numpy as np
 
 from .checks import Cell, CheckKind, CheckResult, failed, passed
 from .config import DEFAULT_OVERHANG_LIMIT, DEFAULT_STACK_LIMIT, AssemblyConfig
-from .discretizer import (
-    OccupancyGrid,
-    Workspace,
-    build_grid,
-    fit_to_workspace,
-    voxelize,
-)
+from .discretizer import OccupancyGrid, build_grid, voxelize
 from .errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from .mesh_io import TriangleMesh, bounding_box
 from .sequencer import check_sequence_connectivity, naive_sort
@@ -166,30 +160,22 @@ def truncate_stacks(
 
 
 def rescale_until_fits(
-    mesh: TriangleMesh,
-    inventory: int,
-    cell_size: float,
-    workspace: Workspace,
-    max_scale: float | None = 1.0,
-    grid: OccupancyGrid | None = None,
+    mesh: TriangleMesh, grid: OccupancyGrid, inventory: int
 ) -> tuple[OccupancyGrid, float, int]:
     """Shrink the design until it voxelizes to at most the inventory.
 
-    The mesh is first fitted to the workspace, then repeatedly scaled by
-    (L - cell) / L where L is the current longest bounding-box edge, which
-    shaves exactly one cell off the longest axis per iteration. Returns the
-    final grid, the cumulative scale (fit included) and the iteration count.
-
-    ``grid``, if given, must be ``mesh`` voxelized on its own bounding grid
-    at ``cell_size``; it stands in for the first voxelization when fitting
-    leaves the vertices bit for bit unchanged (an already fitted mesh).
+    ``grid`` is ``mesh`` voxelized on its own bounding grid; its cell size
+    is the shrink step. The mesh is repeatedly scaled by (L - cell) / L
+    where L is the current longest bounding-box edge, which shaves exactly
+    one cell off the longest axis per iteration. Returns the final grid,
+    the cumulative shrink factor (1.0 without a shrink; fitting the mesh to
+    the workspace is the caller's step) and the iteration count.
     """
-    fitted, scale = fit_to_workspace(mesh, workspace, max_scale)
-    if grid is None or fitted.vertices.tobytes() != mesh.vertices.tobytes():
-        grid = voxelize(fitted, build_grid(bounding_box(fitted), cell_size))
+    cell_size = grid.spec.cell_size
+    scale = 1.0
     iterations = 0
     while len(grid.occupied) > inventory:
-        box = bounding_box(fitted)
+        box = bounding_box(mesh)
         longest = max(box.extents)
         if longest - cell_size < cell_size:
             raise CannotFit(
@@ -199,10 +185,10 @@ def rescale_until_fits(
             )
         factor = (longest - cell_size) / longest
         anchor = np.asarray(box.min_corner)
-        fitted = fitted.with_vertices(anchor + (fitted.vertices - anchor) * factor)
+        mesh = mesh.with_vertices(anchor + (mesh.vertices - anchor) * factor)
         scale *= factor
         iterations += 1
-        grid = voxelize(fitted, build_grid(bounding_box(fitted), cell_size))
+        grid = voxelize(mesh, build_grid(bounding_box(mesh), cell_size))
     return grid, float(scale), iterations
 
 
@@ -216,14 +202,14 @@ def run_feasibility(
 ) -> tuple[OccupancyGrid, FeasibilityReport]:
     """Discretize the mesh, run all four checks, optionally apply rewrites.
 
-    The report always carries the first-pass statuses; with failure
-    handling enabled the returned grid additionally satisfies every check
-    (rescale, overhang removal, stack truncation, connectivity re-sort, in
-    that order).
+    The mesh is voxelized as given, so callers fit it into the workspace
+    first (``fit_to_workspace``). The report always carries the first-pass
+    statuses; with failure handling enabled the returned grid additionally
+    satisfies every check (rescale, overhang removal, stack truncation,
+    connectivity re-sort, in that order).
     """
     config = config or AssemblyConfig()
-    fitted, _ = fit_to_workspace(mesh, config.workspace, config.max_upscale)
-    grid = voxelize(fitted, build_grid(bounding_box(fitted), config.cell_size))
+    grid = voxelize(mesh, build_grid(bounding_box(mesh), config.cell_size))
     if not grid.occupied:
         raise EmptyAssembly("mesh voxelized to zero occupied cells")
 
@@ -237,14 +223,7 @@ def run_feasibility(
     modifications: list[dict] = []
     if failure_handling:
         if results[0].failed:
-            grid, scale, iterations = rescale_until_fits(
-                fitted,
-                config.inventory,
-                config.cell_size,
-                config.workspace,
-                config.max_upscale,
-                grid,
-            )
+            grid, scale, iterations = rescale_until_fits(mesh, grid, config.inventory)
             modifications.append(
                 {"action": "rescale", "iterations": iterations, "scale": scale}
             )

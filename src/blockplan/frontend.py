@@ -230,7 +230,7 @@ class MockMeshGenerator(MeshGeneratorClient):
         path = Path(manifest_path)
         try:
             manifest = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ClientUnavailable(f"cannot load mesh manifest {path}: {exc}") from exc
         if not isinstance(manifest, dict):
             raise ClientUnavailable(f"mesh manifest {path} must be a JSON object")

@@ -412,11 +412,9 @@ def repair_mesh(
         duplicates = len(tris) - len(first)
         tris = tris[np.sort(first)]
 
-    flipped = 0
+    flipped, manifold = 0, False
     if len(tris):
-        tris, flipped = _unify_windings(tris)
-
-    manifold = _is_manifold_triangles(tris)
+        tris, flipped, manifold = _unify_windings(tris)
 
     if len(tris):
         used = np.unique(tris)
@@ -514,27 +512,34 @@ def _component_minima(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarr
         label = update
 
 
-def _edge_keys(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
-    """One int64 per undirected edge of vertex indices below ``n``."""
-    return np.minimum(heads, tails) * n + np.maximum(heads, tails)
+def _edge_groups(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges grouped by undirected edge.
+
+    Directed edge 3t+s runs from ``tris[t, s]`` to the next corner. Returns
+    the stable edge order that puts each undirected edge's directed edges
+    together, and each group's start in that order and its size.
+    """
+    heads, tails = tris.reshape(-1), tris[:, [1, 2, 0]].reshape(-1)
+    keys = np.minimum(heads, tails) * (int(tris.max()) + 1) + np.maximum(heads, tails)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    return order, starts, np.diff(np.r_[starts, len(keys)])
 
 
-def _unify_windings(tris: np.ndarray) -> tuple[np.ndarray, int]:
+def _unify_windings(tris: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Flip triangles so manifold edges are traversed in opposite directions.
 
     Works per connected component; edges shared by anything other than
     exactly two triangles are skipped. The breadth-first search visits the
     edges of each triangle in its current winding, so the flipped set is
-    well defined on non-orientable input too.
+    well defined on non-orientable input too. Also returns whether every
+    edge is shared by exactly two triangles, which flipping cannot change.
     """
     m = len(tris)
-    heads = tris.reshape(-1)  # directed edge 3t+s runs heads -> tails
-    tails = tris[:, [1, 2, 0]].reshape(-1)
-    keys = _edge_keys(heads, tails, int(tris.max()) + 1)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    sizes = np.diff(np.r_[starts, len(keys)])
+    heads = tris.reshape(-1)
+    order, starts, sizes = _edge_groups(tris)
+    manifold = bool((sizes == 2).all())
     pairs = starts[sizes == 2]
     edge_a, edge_b = order[pairs], order[pairs + 1]
     same_direction = heads[edge_a] == heads[edge_b]
@@ -545,7 +550,7 @@ def _unify_windings(tris: np.ndarray) -> tuple[np.ndarray, int]:
     agrees[edge_a] = same_direction
     agrees[edge_b] = same_direction
     if not agrees.any():
-        return tris, 0  # consistently wound already: the search flips nothing
+        return tris, 0, manifold  # consistently wound already: the search flips nothing
 
     neighbours = neighbour.reshape(m, 3).tolist()
     agreements = agrees.reshape(m, 3).tolist()
@@ -572,19 +577,12 @@ def _unify_windings(tris: np.ndarray) -> tuple[np.ndarray, int]:
     flip_mask = np.array(flip, dtype=bool)
     tris = tris.copy()
     tris[flip_mask] = tris[flip_mask, ::-1]
-    return tris, int(flip_mask.sum())
-
-
-def _is_manifold_triangles(tris: np.ndarray) -> bool:
-    """Closed 2-manifold test: every edge belongs to exactly two triangles."""
-    if not len(tris):
-        return False
-    keys = _edge_keys(tris.reshape(-1), tris[:, [1, 2, 0]].reshape(-1), int(tris.max()) + 1)
-    _, counts = np.unique(keys, return_counts=True)
-    return bool((counts == 2).all())
+    return tris, int(flip_mask.sum()), manifold
 
 
 def is_manifold(mesh: TriangleMesh) -> bool:
+    """Closed 2-manifold test: every edge belongs to exactly two triangles."""
     if mesh.repair is not None:
         return mesh.repair.manifold
-    return _is_manifold_triangles(np.asarray(mesh.triangles))
+    tris = np.asarray(mesh.triangles)
+    return len(tris) > 0 and bool((_edge_groups(tris)[2] == 2).all())

@@ -55,7 +55,7 @@ class AssemblySequence:
             cells = tuple(tuple(map(whole_number, cell)) for cell in obj["cells"])
             if any(len(cell) != 3 for cell in cells):
                 raise ValueError("cells must be index triples")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"not a valid sequence document: {exc}") from exc
         return cls(cells)
 

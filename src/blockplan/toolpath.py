@@ -34,8 +34,8 @@ class MotionParams:
     acceleration: float
 
     def __post_init__(self) -> None:
-        if self.velocity <= 0 or self.acceleration <= 0:
-            raise ValueError("velocity and acceleration must be positive")
+        if not (0 < self.velocity < math.inf and 0 < self.acceleration < math.inf):
+            raise ValueError("velocity and acceleration must be positive and finite")
 
     @classmethod
     def with_ratio(cls, velocity: float, ratio: SpeedRatio) -> "MotionParams":
@@ -252,12 +252,12 @@ def parse_toolpath(data: bytes | str) -> Toolpath:
         for entry in obj["commands"]:
             op = CommandOp(entry["op"])
             if op is CommandOp.MOVE:
-                xyz = entry["xyz_mm"]
-                if len(xyz) != 3:
-                    raise ValueError("xyz_mm must have 3 entries")
-                commands.append(move(*(float(v) for v in xyz)))
+                xyz = [float(v) for v in entry["xyz_mm"]]
+                if len(xyz) != 3 or not all(map(math.isfinite, xyz)):
+                    raise ValueError("xyz_mm must be 3 finite numbers")
+                commands.append(move(*xyz))
             else:
                 commands.append(Command(op))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"not a valid toolpath document: {exc}") from exc
     return Toolpath(tuple(commands), params)

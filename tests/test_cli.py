@@ -484,6 +484,11 @@ def test_config_file_that_is_not_text(tmp_path):
         "inventory=true",
         "cell_size=true",
         "source=[true,0,0]",
+        "velocity=1e999",
+        "acceleration=1e999",
+        'cell_size="5"',
+        "cell_size=.5",
+        'source=["1",0,0]',
     ],
 )
 def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
@@ -505,6 +510,33 @@ def test_config_file_rejects_bad_values(demo_mesh_files, tmp_path):
     assert code == EXIT_SCHEMA
 
 
+# 100000 nested arrays: Python's json reader raises RecursionError on them
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["filter", "--text", "a box", "--config", "{deep}"], EXIT_SCHEMA),
+        (["filter", "--text", "a box", "--set", "cell_size=" + _DEEP], EXIT_SCHEMA),
+        (["sequence", "--grid", "{deep}"], EXIT_SCHEMA),
+        (["validate", "--grid", "{grid}", "--sequence", "{deep}"], EXIT_SCHEMA),
+        (
+            ["pipeline", "--text", "make me a coffee table", "--mesh-manifest", "{deep}"],
+            EXIT_CLIENT_UNAVAILABLE,
+        ),
+    ],
+    ids=["config", "set", "grid", "sequence", "mesh-manifest"],
+)
+def test_deeply_nested_json_exits_with_its_code(tmp_path, argv, expected):
+    (tmp_path / "deep.json").write_text(_DEEP)
+    (tmp_path / "grid.json").write_bytes(make_grid([(0, 0, 0)]).to_json())
+    paths = {"deep": tmp_path / "deep.json", "grid": tmp_path / "grid.json"}
+    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == expected
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("override", ["motion_unit_scale=0", "gripper_dwell_s=-1"])
 def test_toolpath_rejects_bad_motion_values(tmp_path, override):
     grid = make_grid([(0, 0, 0)])
@@ -518,6 +550,16 @@ def test_toolpath_rejects_bad_motion_values(tmp_path, override):
     ])
     assert code == EXIT_SCHEMA
     assert not out.exists()
+
+
+def test_text_input_rejects_undecodable_manifest(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b"\xff\xfe{}")
+    code = main([
+        "pipeline", "--text", "make me a coffee table",
+        "--mesh-manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CLIENT_UNAVAILABLE
 
 
 def test_text_input_rejects_non_string_manifest(tmp_path):

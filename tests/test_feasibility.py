@@ -10,7 +10,7 @@ import pytest
 from blockplan import feasibility
 from blockplan.checks import CheckKind, CheckStatus
 from blockplan.config import AssemblyConfig
-from blockplan.discretizer import Workspace, voxelize
+from blockplan.discretizer import build_grid, voxelize
 from blockplan.errors import CannotFit, EmptyAssembly
 from blockplan.feasibility import (
     FeasibilityReport,
@@ -22,6 +22,7 @@ from blockplan.feasibility import (
     run_feasibility,
     truncate_stacks,
 )
+from blockplan.mesh_io import bounding_box
 from blockplan.sequencer import check_sequence_connectivity, connectivity_sort
 from blockplan.shapes import box_mesh
 from tests.conftest import make_grid
@@ -201,22 +202,27 @@ def box_rescale_oracle(extents, cell: float, inventory: int):
     return count(), scale, iterations
 
 
+def grid_of(mesh):
+    """The first-pass 10 cm grid the orchestrator hands to the shrink loop."""
+    return voxelize(mesh, build_grid(bounding_box(mesh), 10.0))
+
+
 def test_rescale_not_needed_when_within_inventory():
     mesh = box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0))
-    grid, scale, iterations = rescale_until_fits(mesh, 40, 10.0, Workspace())
+    grid, scale, iterations = rescale_until_fits(mesh, grid_of(mesh), 40)
     assert (len(grid.occupied), scale, iterations) == (2, 1.0, 0)
 
 
 def test_rescale_single_step_halves_two_cell_box():
     mesh = box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0))
-    grid, scale, iterations = rescale_until_fits(mesh, 1, 10.0, Workspace())
+    grid, scale, iterations = rescale_until_fits(mesh, grid_of(mesh), 1)
     assert (len(grid.occupied), scale, iterations) == (1, 0.5, 1)
 
 
 def test_rescale_matches_box_oracle():
     extents = (60.0, 50.0, 60.0)
     mesh = box_mesh((0.0, 0.0, 0.0), extents)
-    grid, scale, iterations = rescale_until_fits(mesh, 40, 10.0, Workspace())
+    grid, scale, iterations = rescale_until_fits(mesh, grid_of(mesh), 40)
     count, expected_scale, expected_iterations = box_rescale_oracle(extents, 10.0, 40)
     assert len(grid.occupied) == count == 27
     assert iterations == expected_iterations == 3
@@ -227,7 +233,7 @@ def test_rescale_matches_box_oracle():
 def test_rescale_raises_when_design_cannot_shrink():
     mesh = box_mesh((0.0, 0.0, 0.0), (15.0, 15.0, 15.0))
     with pytest.raises(CannotFit):
-        rescale_until_fits(mesh, 1, 10.0, Workspace())
+        rescale_until_fits(mesh, grid_of(mesh), 1)
 
 
 # --- orchestration -------------------------------------------------------

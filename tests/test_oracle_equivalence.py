@@ -37,8 +37,8 @@ from blockplan.feasibility import (
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     TriangleMesh,
-    _is_manifold_triangles,
     bounding_box,
+    is_manifold,
     repair_mesh,
 )
 from blockplan.sequencer import (
@@ -201,9 +201,15 @@ def test_moebius_windings_match_oracle():
 
 def test_manifold_test_matches_oracle():
     rng = np.random.default_rng(3)
-    for family in sorted(FAMILIES):
-        tris = repair_mesh(FAMILIES[family](rng), weld_tolerance=1e-3).triangles
-        assert _is_manifold_triangles(tris) == oracles.is_manifold_triangles(tris)
+    meshes = [FAMILIES[family](rng) for family in sorted(FAMILIES)]
+    # two closed boxes sharing one edge: four triangles meet there
+    meshes.append(combine_meshes([box_mesh((0, 0, 0), (1, 1, 1)), box_mesh((1, 1, 0), (2, 2, 1))]))
+    for mesh in meshes:
+        repaired = repair_mesh(mesh, weld_tolerance=1e-3)
+        expected = oracles.is_manifold_triangles(repaired.triangles)
+        assert repaired.repair.manifold == expected
+        # without a repair summary the test runs on the triangles themselves
+        assert is_manifold(TriangleMesh(repaired.vertices, repaired.triangles)) == expected
 
 
 def test_weld_of_coincident_copies_matches_oracle():

@@ -63,6 +63,15 @@ def test_params_must_be_positive(velocity, acceleration):
         MotionParams(velocity, acceleration)
 
 
+@pytest.mark.parametrize(
+    "velocity,acceleration",
+    [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)],
+)
+def test_params_must_be_finite(velocity, acceleration):
+    with pytest.raises(ValueError):
+        MotionParams(velocity, acceleration)
+
+
 def test_params_with_ratio():
     assert MotionParams.with_ratio(2.0, SpeedRatio.ONE_TO_ONE) == MotionParams(2.0, 2.0)
     assert MotionParams.with_ratio(2.0, SpeedRatio.TWO_TO_ONE) == MotionParams(2.0, 1.0)
@@ -358,5 +367,26 @@ def test_emit_rejects_unknown_format(grid_factory, config):
     ],
 )
 def test_parse_toolpath_rejects_bad_documents(data):
+    with pytest.raises(SchemaError):
+        parse_toolpath(data)
+
+
+@pytest.mark.parametrize(
+    "params,xyz",
+    [
+        ('"velocity": NaN, "acceleration": 1.0', "[0, 0, 0]"),
+        ('"velocity": Infinity, "acceleration": 1.0', "[0, 0, 0]"),
+        ('"velocity": 1.0, "acceleration": NaN', "[0, 0, 0]"),
+        ('"velocity": 1.0, "acceleration": Infinity', "[0, 0, 0]"),
+        ('"velocity": 1.0, "acceleration": 1.0', "[NaN, 0, 0]"),
+        ('"velocity": 1.0, "acceleration": 1.0', "[0, Infinity, 0]"),
+        ('"velocity": 1.0, "acceleration": 1.0', "[0, 0, -Infinity]"),
+        ('"velocity": 1.0, "acceleration": 1.0', "[0, 0, 1e999]"),
+    ],
+    ids=["v-nan", "v-inf", "a-nan", "a-inf", "x-nan", "y-inf", "z-minus-inf", "z-1e999"],
+)
+def test_parse_toolpath_rejects_non_finite_values(params, xyz):
+    # Python's json reads NaN, Infinity and 1e999; none is a valid limit or coordinate
+    data = '{"params": {%s}, "commands": [{"op": "move", "xyz_mm": %s}]}' % (params, xyz)
     with pytest.raises(SchemaError):
         parse_toolpath(data)
