@@ -13,7 +13,6 @@ The pipeline stages, in order:
 """
 from __future__ import annotations
 
-from .checks import CheckKind, CheckResult, CheckStatus
 from .config import AssemblyConfig
 from .discretizer import (
     DEFAULT_CELL_SIZE,
@@ -40,9 +39,13 @@ from .errors import (
     Unsequenceable,
 )
 from .feasibility import (
+    CheckKind,
+    CheckResult,
+    CheckStatus,
     FeasibilityReport,
     check_component_count,
     check_overhang,
+    check_sequence_connectivity,
     check_vertical_stack,
     remove_overhangs,
     rescale_until_fits,
@@ -72,7 +75,6 @@ from .mesh_io import (
 )
 from .sequencer import (
     AssemblySequence,
-    check_sequence_connectivity,
     connectivity_sort,
     naive_sort,
 )

@@ -31,7 +31,14 @@ from .errors import (
     Unsequenceable,
 )
 from .feasibility import run_feasibility
-from .frontend import MockMeshGenerator, Rejection, acquire_mesh, fallback_filter
+from .frontend import (
+    MockMeshGenerator,
+    ObjectRequest,
+    Rejection,
+    acquire_mesh,
+    fallback_filter,
+    path_format_hint,
+)
 from .mesh_io import TriangleMesh, bounding_box, finite_extent, parse_mesh, repair_mesh
 from .sequencer import AssemblySequence, connectivity_sort
 from .toolpath import (
@@ -116,18 +123,15 @@ def _fitted_mesh(
     Returns the fitted mesh and its fit scale, then the repaired and the
     raw mesh and a short provenance string for the summary.
     """
-    if getattr(args, "mesh", None):
+    if getattr(args, "mesh", None) is not None:
         path = Path(args.mesh)
-        hint = path.suffix.lstrip(".").lower()
         try:  # the file bytes are freed once parsed, before repair
-            mesh = parse_mesh(path.read_bytes(), hint if hint in ("stl", "obj") else None)
+            mesh = parse_mesh(path.read_bytes(), path_format_hint(path))
         except OSError as exc:
             raise MalformedFile(f"cannot read {path}: {exc}") from exc
         provenance = f"mesh file {args.mesh}"
     else:
-        request = fallback_filter(args.text)
-        if isinstance(request, Rejection):
-            raise _RejectedRequest(request)
+        request = _object_request(args.text)
         manifest = args.mesh_manifest or cfg.mesh_manifest
         if not manifest:
             raise ClientUnavailable(
@@ -150,9 +154,15 @@ def _fitted_mesh(
 
 
 class _RejectedRequest(Exception):
-    def __init__(self, rejection: Rejection) -> None:
-        super().__init__(rejection.message)
-        self.rejection = rejection
+    """Carries a :class:`Rejection` message to ``main``, which exits 6."""
+
+
+def _object_request(text: str) -> ObjectRequest:
+    """The filtered request; blank text is rejected like an abstract one."""
+    result = fallback_filter(text) if text.strip() else Rejection(text)
+    if isinstance(result, Rejection):
+        raise _RejectedRequest(result.message)
+    return result
 
 
 # --- subcommands ---------------------------------------------------------
@@ -211,10 +221,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
-    result = fallback_filter(args.text)
-    if isinstance(result, Rejection):
-        raise _RejectedRequest(result)
-    print(result.extracted_phrase)
+    print(_object_request(args.text).extracted_phrase)
     return EXIT_OK
 
 
@@ -357,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
         return _DISPATCH[args.command](args, cfg)
     except _RejectedRequest as exc:
-        print(exc.rejection.message, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_REJECTED
     except BlockplanError as exc:
         print(f"error: {exc}", file=sys.stderr)

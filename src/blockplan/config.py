@@ -6,7 +6,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .discretizer import DEFAULT_CELL_SIZE, Workspace, whole_number
+from .discretizer import DEFAULT_CELL_SIZE, Workspace, real_number, whole_number
 from .errors import SchemaError
 from .mesh_io import DEFAULT_WELD_TOLERANCE
 
@@ -112,7 +112,7 @@ def _convert(kind: str, value):
     if kind in ("Workspace", "tuple[float, float, float]"):
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ValueError("needs a 3-element list")
-        triple = tuple(map(_real, value))
+        triple = tuple(map(real_number, value))
         return Workspace(triple) if kind == "Workspace" else triple
     if kind == "int":
         return whole_number(value)
@@ -120,11 +120,4 @@ def _convert(kind: str, value):
         if not isinstance(value, str):
             raise TypeError("needs a string")
         return value
-    return _real(value)
-
-
-def _real(value) -> float:
-    # a JSON number only: float() would also read "5", ".5" and true
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"needs a JSON number, not {type(value).__name__}")
-    return float(value)
+    return real_number(value)

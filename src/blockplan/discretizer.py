@@ -97,8 +97,8 @@ class OccupancyGrid:
         try:
             obj = json.loads(data)
             spec = GridSpec(
-                origin=tuple(float(v) for v in obj["origin_cm"]),
-                cell_size=float(obj["cell_size_cm"]),
+                origin=tuple(map(real_number, obj["origin_cm"])),
+                cell_size=real_number(obj["cell_size_cm"]),
                 dims=tuple(map(whole_number, obj["dims"])),
             )
             occupied = frozenset(tuple(map(whole_number, cell)) for cell in obj["occupied"])
@@ -117,6 +117,13 @@ def whole_number(value) -> int:
     if not whole or int(value) != value:  # int() of an infinity overflows
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def real_number(value) -> float:
+    """A JSON number as a float; float() would also read "5", ".5" and true."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"needs a JSON number, not {type(value).__name__}")
+    return float(value)
 
 
 def component_count(grid: OccupancyGrid) -> int:

@@ -11,17 +11,53 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .checks import Cell, CheckKind, CheckResult, failed, passed
 from .config import DEFAULT_OVERHANG_LIMIT, DEFAULT_STACK_LIMIT, AssemblyConfig
-from .discretizer import OccupancyGrid, build_grid, voxelize
+from .discretizer import Cell, OccupancyGrid, build_grid, voxelize
 from .errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from .mesh_io import TriangleMesh, bounding_box
-from .sequencer import check_sequence_connectivity, naive_sort
+from .sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
 
 _LATERAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+class CheckKind(Enum):
+    COMPONENT_COUNT = "component_count"
+    OVERHANG = "overhang"
+    VERTICAL_STACK = "vertical_stack"
+    CONNECTIVITY = "connectivity"
+
+
+class CheckStatus(Enum):
+    PASSED = "passed"
+    FAILED = "failed"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one feasibility check.
+
+    ``details`` lists the offending cells (or, for the count check, the
+    offending component count). The check passed exactly when it is empty.
+    """
+
+    check: CheckKind
+    details: tuple = ()
+
+    @property
+    def status(self) -> CheckStatus:
+        return CheckStatus.FAILED if self.details else CheckStatus.PASSED
+
+    @property
+    def passed(self) -> bool:
+        return not self.details
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.details)
 
 
 @dataclass(frozen=True)
@@ -59,9 +95,7 @@ def check_component_count(grid: OccupancyGrid, inventory: int) -> CheckResult:
     count = len(grid.occupied)
     if count == 0:
         raise EmptyAssembly("grid has no occupied cells")
-    if count <= inventory:
-        return passed(CheckKind.COMPONENT_COUNT)
-    return failed(CheckKind.COMPONENT_COUNT, (count,))
+    return CheckResult(CheckKind.COMPONENT_COUNT, (count,) if count > inventory else ())
 
 
 def _overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
@@ -90,9 +124,7 @@ def check_overhang(
     """Fails when a cell sits farther than ``max_unsupported`` lateral steps
     from any supported cell of its layer (unreachable counts as infinite)."""
     offenders = _overhang_offenders(grid, max_unsupported)
-    if offenders:
-        return failed(CheckKind.OVERHANG, tuple(offenders))
-    return passed(CheckKind.OVERHANG)
+    return CheckResult(CheckKind.OVERHANG, tuple(offenders))
 
 
 def remove_overhangs(
@@ -127,9 +159,7 @@ def check_vertical_stack(
         braced = any((i + di, j + dj, k) in occupied for di, dj in _LATERAL)
         height[(i, j, k)] = 0 if braced else 1 + height.get((i, j, k - 1), 0)
     excess = sorted(c for c, h in height.items() if h > max_stack)
-    if excess:
-        return failed(CheckKind.VERTICAL_STACK, tuple(excess))
-    return passed(CheckKind.VERTICAL_STACK)
+    return CheckResult(CheckKind.VERTICAL_STACK, tuple(excess))
 
 
 def truncate_stacks(
@@ -145,15 +175,28 @@ def truncate_stacks(
     occupied = grid.occupied
     while True:
         trial = OccupancyGrid(grid.spec, occupied)
-        stack_result = check_vertical_stack(trial, max_stack)
-        if stack_result.failed:
-            occupied = occupied - set(stack_result.details)
-            continue
-        offenders = _overhang_offenders(trial, max_unsupported)
-        if offenders:
-            occupied = occupied - set(offenders)
-            continue
-        return trial
+        offenders = check_vertical_stack(trial, max_stack).details
+        offenders = offenders or _overhang_offenders(trial, max_unsupported)
+        if not offenders:
+            return trial
+        occupied = occupied - set(offenders)
+
+
+def check_sequence_connectivity(
+    seq: AssemblySequence, grid: OccupancyGrid
+) -> CheckResult:
+    """Passes when every placement beyond the ground touches an earlier one.
+
+    Ground-layer cells (k = 0) count as connected by definition. The first
+    cell that has no already-placed face neighbor fails the check.
+    """
+    require_coverage(seq, grid)
+    placed: set[Cell] = set()
+    for cell in seq.cells:
+        if cell[2] > 0 and not any(nb in placed for nb in face_neighbors(cell)):
+            return CheckResult(CheckKind.CONNECTIVITY, (cell,))
+        placed.add(cell)
+    return CheckResult(CheckKind.CONNECTIVITY)
 
 
 # --- rescaling ----------------------------------------------------------------

@@ -209,6 +209,13 @@ def fallback_filter(
     return ObjectRequest(text, phrase)
 
 
+def path_format_hint(path: Path) -> str | None:
+    """The format hint a mesh file's name gives: ``stl`` or ``obj``, else
+    None, so that :func:`parse_mesh` sniffs the bytes."""
+    hint = path.suffix.lstrip(".").lower()
+    return hint if hint in ("stl", "obj") else None
+
+
 class MockMeshGenerator(MeshGeneratorClient):
     """File-backed stand-in for a text-to-3D service.
 
@@ -234,6 +241,8 @@ class MockMeshGenerator(MeshGeneratorClient):
             raise ClientUnavailable(f"cannot load mesh manifest {path}: {exc}") from exc
         if not isinstance(manifest, dict):
             raise ClientUnavailable(f"mesh manifest {path} must be a JSON object")
+        if not all(isinstance(entry, str) for entry in manifest.values()):
+            raise ClientUnavailable(f"mesh manifest {path} must map phrases to file names")
         return cls(manifest, base_dir=path.parent)
 
     def generate(self, prompt: str) -> tuple[bytes, str | None]:
@@ -245,10 +254,9 @@ class MockMeshGenerator(MeshGeneratorClient):
             path = self._base_dir / path
         try:
             data = path.read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a null byte in the name
             raise ClientUnavailable(f"cannot read mesh file {path}: {exc}") from exc
-        suffix = path.suffix.lstrip(".").lower() or None
-        return data, suffix
+        return data, path_format_hint(path)
 
 
 def acquire_mesh(request: ObjectRequest, client: MeshGeneratorClient) -> TriangleMesh:

@@ -253,7 +253,8 @@ def _parse_stl_binary(data: bytes) -> TriangleMesh:
     records = np.frombuffer(
         data, dtype=_BINARY_STL_DTYPE, count=count, offset=_BINARY_STL_HEADER + 4
     )
-    verts = records["verts"].reshape(-1, 3).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN; parse_mesh rejects it
+        verts = records["verts"].reshape(-1, 3).astype(np.float64)
     tris = np.arange(len(verts), dtype=np.int64).reshape(-1, 3)
     return TriangleMesh(verts, tris, MeshFormat.STL_BINARY)
 

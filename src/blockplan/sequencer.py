@@ -11,8 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .checks import Cell, CheckKind, CheckResult, failed, passed
-from .discretizer import OccupancyGrid, whole_number
+from .discretizer import Cell, OccupancyGrid, whole_number
 from .errors import EmptyAssembly, SchemaError, SequenceGridMismatch, Unsequenceable
 
 FACE_NEIGHBORS: tuple[Cell, ...] = (
@@ -78,23 +77,6 @@ def require_coverage(seq: AssemblySequence, grid: OccupancyGrid) -> None:
             f"sequence covers {len(set(seq.cells))} cells, "
             f"grid has {len(grid.occupied)}"
         )
-
-
-def check_sequence_connectivity(
-    seq: AssemblySequence, grid: OccupancyGrid
-) -> CheckResult:
-    """Passes when every placement beyond the ground touches an earlier one.
-
-    Ground-layer cells (k = 0) count as connected by definition. The first
-    cell that has no already-placed face neighbor fails the check.
-    """
-    require_coverage(seq, grid)
-    placed: set[Cell] = set()
-    for cell in seq.cells:
-        if cell[2] > 0 and not any(nb in placed for nb in face_neighbors(cell)):
-            return failed(CheckKind.CONNECTIVITY, (cell,))
-        placed.add(cell)
-    return passed(CheckKind.CONNECTIVITY)
 
 
 def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import DEFAULT_DWELL_S, AssemblyConfig
-from .discretizer import OccupancyGrid
+from .discretizer import OccupancyGrid, real_number
 from .errors import ConfigViolation, SchemaError
 from .sequencer import AssemblySequence, require_coverage
 
@@ -245,14 +245,14 @@ def parse_toolpath(data: bytes | str) -> Toolpath:
     try:
         obj = json.loads(data)
         params = MotionParams(
-            velocity=float(obj["params"]["velocity"]),
-            acceleration=float(obj["params"]["acceleration"]),
+            velocity=real_number(obj["params"]["velocity"]),
+            acceleration=real_number(obj["params"]["acceleration"]),
         )
         commands = []
         for entry in obj["commands"]:
             op = CommandOp(entry["op"])
             if op is CommandOp.MOVE:
-                xyz = [float(v) for v in entry["xyz_mm"]]
+                xyz = [real_number(v) for v in entry["xyz_mm"]]
                 if len(xyz) != 3 or not all(map(math.isfinite, xyz)):
                     raise ValueError("xyz_mm must be 3 finite numbers")
                 commands.append(move(*xyz))

@@ -4,9 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .checks import Cell
 from .config import AssemblyConfig
-from .discretizer import OccupancyGrid
+from .discretizer import Cell, OccupancyGrid
 from .feasibility import (
     FeasibilityReport,
     check_component_count,

@@ -21,9 +21,9 @@ from collections import defaultdict, deque
 import numpy as np
 from scipy.spatial import cKDTree
 
-from blockplan.checks import Cell, CheckKind, CheckResult, failed, passed
-from blockplan.discretizer import SAT_EPSILON, GridSpec, OccupancyGrid
+from blockplan.discretizer import SAT_EPSILON, Cell, GridSpec, OccupancyGrid
 from blockplan.errors import EmptyAssembly, Unsequenceable
+from blockplan.feasibility import CheckKind, CheckResult
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     DEGENERATE_AREA,
@@ -333,8 +333,8 @@ def overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
 def check_overhang(grid: OccupancyGrid, max_unsupported: int) -> CheckResult:
     offenders = overhang_offenders(grid, max_unsupported)
     if offenders:
-        return failed(CheckKind.OVERHANG, tuple(offenders))
-    return passed(CheckKind.OVERHANG)
+        return CheckResult(CheckKind.OVERHANG, tuple(offenders))
+    return CheckResult(CheckKind.OVERHANG)
 
 
 def remove_overhangs(grid: OccupancyGrid, max_unsupported: int) -> OccupancyGrid:
@@ -381,8 +381,8 @@ def check_vertical_stack(grid: OccupancyGrid, max_stack: int) -> CheckResult:
         if len(run) > max_stack:
             excess.extend(run[max_stack:])
     if excess:
-        return failed(CheckKind.VERTICAL_STACK, tuple(sorted(excess)))
-    return passed(CheckKind.VERTICAL_STACK)
+        return CheckResult(CheckKind.VERTICAL_STACK, tuple(sorted(excess)))
+    return CheckResult(CheckKind.VERTICAL_STACK)
 
 
 def truncate_stacks(

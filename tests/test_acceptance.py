@@ -17,12 +17,13 @@ from blockplan.discretizer import GridSpec, OccupancyGrid, build_grid, fit_to_wo
 from blockplan.feasibility import (
     check_component_count,
     check_overhang,
+    check_sequence_connectivity,
     check_vertical_stack,
 )
 from blockplan.config import AssemblyConfig, Workspace
 from blockplan.frontend import ObjectRequest, Rejection, fallback_filter
 from blockplan.mesh_io import bounding_box
-from blockplan.sequencer import check_sequence_connectivity, connectivity_sort, naive_sort
+from blockplan.sequencer import connectivity_sort, naive_sort
 from blockplan.shapes import box_mesh, icosphere
 from blockplan.toolpath import (
     CommandOp,

@@ -4,8 +4,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,6 +143,17 @@ def test_pipeline_rejects_abstract_text(tmp_path, capsys):
     code = main(["pipeline", "--text", "Knowledge", "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_REJECTED
     assert "restate" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["filter", "--text", ""], EXIT_REJECTED),
+    (["pipeline", "--text", "   "], EXIT_REJECTED),
+    (["pipeline", "--mesh", ""], EXIT_MALFORMED_FILE),  # reads the directory "."
+], ids=["filter-empty", "pipeline-blank", "mesh-empty"])
+def test_blank_source_arguments_exit_with_their_codes(tmp_path, capsys, argv, code):
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+    if code == EXIT_REJECTED:
+        assert "restate" in capsys.readouterr().err.lower()
 
 
 def test_pipeline_text_needs_mesh_source(tmp_path):
@@ -372,6 +385,16 @@ def test_non_finite_vertex_mesh_file(tmp_path):
     assert code == EXIT_MALFORMED_FILE
 
 
+def test_signalling_nan_binary_stl_is_malformed_without_a_warning(tmp_path):
+    snan = struct.pack("<I", 0x7F800001)  # float32 NaN with the quiet bit clear
+    bad = tmp_path / "snan.stl"
+    bad.write_bytes(bytes(80) + struct.pack("<I", 1) + bytes(12) + snan * 9 + bytes(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pipeline", "--mesh", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_MALFORMED_FILE
+
+
 @pytest.mark.parametrize("span", ["9e307", "1e308"])
 def test_overflowing_mesh_extent_is_malformed(tmp_path, span):
     # finite coordinates whose max - min is inf would fit at scale 0
@@ -568,6 +591,33 @@ def test_text_input_rejects_non_string_manifest(tmp_path):
         "--set", "mesh_manifest=5", "--out-dir", str(tmp_path / "out"),
     ])
     assert code == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("entry", [5, ["a"], "\u0000"], ids=["number", "list", "null-byte"])
+def test_text_input_rejects_bad_manifest_entries(tmp_path, entry):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"coffee table": entry}))
+    code = main([
+        "pipeline", "--text", "make me a coffee table",
+        "--mesh-manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CLIENT_UNAVAILABLE
+
+
+def test_mesh_file_and_manifest_entry_share_the_suffix_rule(demo_mesh_files, tmp_path):
+    # a binary STL under a suffix that is no format hint is sniffed on both routes
+    mesh = tmp_path / "tee.ply"
+    mesh.write_bytes(Path(demo_mesh_files["tee"]).read_bytes())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tee": "tee.ply"}))
+    runs = {
+        "file": ["--mesh", str(mesh)],
+        "text": ["--text", "make me a tee", "--mesh-manifest", str(manifest)],
+    }
+    for name, source in runs.items():
+        assert main(["pipeline", *source, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+    grids = {name: (tmp_path / name / "grid.json").read_bytes() for name in runs}
+    assert grids["file"] == grids["text"]
 
 
 def test_mesh_unit_scale_applies_to_text_input(demo_mesh_files, tmp_path):

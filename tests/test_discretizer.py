@@ -285,7 +285,11 @@ def test_grid_json_round_trip(grid_factory):
 
 @pytest.mark.parametrize(
     "data",
-    [b"{}", b"not json", b'{"cell_size_cm": 1}', b'{"cell_size_cm": 10, "origin_cm": [0,0,0], "dims": [1,1,1], "occupied": [[0,0]]}'],
+    [b"{}", b"not json", b'{"cell_size_cm": 1}', b'{"cell_size_cm": 10, "origin_cm": [0,0,0], "dims": [1,1,1], "occupied": [[0,0]]}',
+     # documents take JSON numbers only, not strings or booleans
+     b'{"cell_size_cm": true, "origin_cm": [0,0,0], "dims": [1,1,1], "occupied": [[0,0,0]]}',
+     b'{"cell_size_cm": "5", "origin_cm": [0,0,0], "dims": [1,1,1], "occupied": [[0,0,0]]}',
+     b'{"cell_size_cm": 10, "origin_cm": ["0",0,0], "dims": [1,1,1], "occupied": [[0,0,0]]}'],
 )
 def test_grid_from_json_rejects_bad_documents(data):
     with pytest.raises(SchemaError):

@@ -8,14 +8,16 @@ import random
 import pytest
 
 from blockplan import feasibility
-from blockplan.checks import CheckKind, CheckStatus
 from blockplan.config import AssemblyConfig
 from blockplan.discretizer import build_grid, voxelize
 from blockplan.errors import CannotFit, EmptyAssembly
 from blockplan.feasibility import (
+    CheckKind,
+    CheckStatus,
     FeasibilityReport,
     check_component_count,
     check_overhang,
+    check_sequence_connectivity,
     check_vertical_stack,
     remove_overhangs,
     rescale_until_fits,
@@ -23,7 +25,7 @@ from blockplan.feasibility import (
     truncate_stacks,
 )
 from blockplan.mesh_io import bounding_box
-from blockplan.sequencer import check_sequence_connectivity, connectivity_sort
+from blockplan.sequencer import connectivity_sort
 from blockplan.shapes import box_mesh
 from tests.conftest import make_grid
 

@@ -30,6 +30,7 @@ from blockplan.errors import BlockplanError
 from blockplan.feasibility import (
     _overhang_offenders,
     check_overhang,
+    check_sequence_connectivity,
     check_vertical_stack,
     remove_overhangs,
     truncate_stacks,
@@ -43,7 +44,6 @@ from blockplan.mesh_io import (
 )
 from blockplan.sequencer import (
     AssemblySequence,
-    check_sequence_connectivity,
     connectivity_sort,
     face_neighbors,
 )

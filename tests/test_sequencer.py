@@ -12,9 +12,9 @@ from blockplan.errors import (
     SequenceGridMismatch,
     Unsequenceable,
 )
+from blockplan.feasibility import check_sequence_connectivity
 from blockplan.sequencer import (
     AssemblySequence,
-    check_sequence_connectivity,
     connectivity_sort,
     face_neighbors,
     naive_sort,

@@ -364,6 +364,10 @@ def test_emit_rejects_unknown_format(grid_factory, config):
         b'{"params": {"velocity": 1.0}, "commands": []}',
         b'{"params": {"velocity": 1.0, "acceleration": 1.0}, "commands": [{"op": "fly"}]}',
         b'{"params": {"velocity": 1.0, "acceleration": 1.0}, "commands": [{"op": "move", "xyz_mm": [1, 2]}]}',
+        # JSON numbers only: no strings, booleans, or a string read as three digits
+        b'{"params": {"velocity": "2", "acceleration": 1.0}, "commands": []}',
+        b'{"params": {"velocity": 1.0, "acceleration": true}, "commands": []}',
+        b'{"params": {"velocity": 1.0, "acceleration": 1.0}, "commands": [{"op": "move", "xyz_mm": "123"}]}',
     ],
 )
 def test_parse_toolpath_rejects_bad_documents(data):
