@@ -92,10 +92,8 @@ class ObjectRequest:
     extracted_phrase: str
 
     def __post_init__(self) -> None:
-        if not self.extracted_phrase:
-            raise ValueError("extracted_phrase must be non-empty")
-        if _is_rejection_token(self.extracted_phrase):
-            raise ValueError("extracted_phrase must not be the rejection token")
+        if _names_no_object(self.extracted_phrase):
+            raise ValueError("extracted_phrase needs a letter or digit and not 'false'")
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,8 @@ def filter_request(
     """Ask the language model whether the text names a physical object.
 
     The returned phrase is the client response verbatim (trimmed). Oversized
-    or empty responses are treated as rejections rather than trusted.
+    responses and ones with no letter or digit are treated as rejections
+    rather than trusted.
     Transport failures surface as :class:`ClientUnavailable` so the caller
     can fall back to :func:`fallback_filter`.
     """
@@ -157,16 +156,17 @@ def filter_request(
     except (TimeoutError, ConnectionError, OSError) as exc:
         raise ClientUnavailable(f"language model client failed: {exc}") from exc
     phrase = response.strip()
-    if not phrase or len(phrase) > MAX_RESPONSE_CHARS:
-        return Rejection(text)
-    if _is_rejection_token(phrase):
+    if len(phrase) > MAX_RESPONSE_CHARS or _names_no_object(phrase):
         return Rejection(text)
     return ObjectRequest(text, phrase)
 
 
-def _is_rejection_token(answer: str) -> bool:
-    """'false' in any case, quoted or not, with or without a trailing period."""
-    return answer.strip().strip("\"'").removesuffix(".").lower() == "false"
+def _names_no_object(phrase: str) -> bool:
+    """The phrase holds no letter or digit, or is the rejection token:
+    'false' in any case, quoted or not, with or without a trailing period."""
+    return not any(map(str.isalnum, phrase)) or (
+        phrase.strip().strip("\"'").removesuffix(".").lower() == "false"
+    )
 
 
 def fallback_filter(
@@ -176,8 +176,8 @@ def fallback_filter(
 
     Lowercases, strips request scaffolding ("i want", "make me", articles),
     cuts the phrase at the first subordinate clause, and rejects when the
-    remaining head is empty or names an abstract concept. Total: never
-    raises on non-empty input.
+    remaining head has no letter or digit or names an abstract concept.
+    Total: never raises on non-empty input.
     """
     if not text or not text.strip():
         raise ValueError("request text must be non-empty")
@@ -204,7 +204,7 @@ def fallback_filter(
             phrase = phrase[:cut]
 
     phrase = phrase.strip(string.punctuation + string.whitespace)
-    if not phrase or phrase in abstract_lexicon or _is_rejection_token(phrase):
+    if phrase in abstract_lexicon or _names_no_object(phrase):
         return Rejection(text)
     return ObjectRequest(text, phrase)
 
@@ -255,7 +255,7 @@ class MockMeshGenerator(MeshGeneratorClient):
         try:
             data = path.read_bytes()
         except (OSError, ValueError) as exc:  # ValueError: a null byte in the name
-            raise ClientUnavailable(f"cannot read mesh file {path}: {exc}") from exc
+            raise ClientUnavailable(f"cannot read mesh file {str(path)!r}: {exc}") from exc
         return data, path_format_hint(path)
 
 

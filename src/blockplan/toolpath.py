@@ -208,18 +208,35 @@ def calibration_schedule(
 
 # --- emission ----------------------------------------------------------------
 
+# toolpath.json is json.dumps(document, indent=2) + "\n", byte for byte. With
+# an indent that encoder runs in pure Python, and this is the largest
+# artifact, so each command fills one of these fixed layouts instead.
+_MOVE_JSON = (
+    '    {\n      "op": "move",\n      "xyz_mm": [\n'
+    "        %s,\n        %s,\n        %s\n      ]\n    }"
+)
+_OP_JSON = '    {\n      "op": "%s"\n    }'
+
+
+def _json_number(value) -> str:
+    """``json.dumps(value)``; for a finite float that is its ``repr``."""
+    return repr(value) if type(value) is float and math.isfinite(value) else json.dumps(value)
+
 
 def emit_toolpath(path: Toolpath, fmt: str = "json") -> bytes:
     """Serialize as canonical JSON or as a line-oriented robot script."""
     if fmt == "json":
-        obj = {
-            "params": {
-                "velocity": path.params.velocity,
-                "acceleration": path.params.acceleration,
-            },
-            "commands": [_command_to_obj(c) for c in path.commands],
-        }
-        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        commands = ",\n".join(
+            _MOVE_JSON % tuple(map(_json_number, c.xyz_mm))
+            if c.op is CommandOp.MOVE else _OP_JSON % c.op.value
+            for c in path.commands
+        )
+        commands = f"[\n{commands}\n  ]" if commands else "[]"
+        v, a = map(_json_number, (path.params.velocity, path.params.acceleration))
+        return (
+            f'{{\n  "params": {{\n    "velocity": {v},\n    "acceleration": {a}\n  }},\n'
+            f'  "commands": {commands}\n}}\n'
+        ).encode("utf-8")
     if fmt == "robot_script":
         v = path.params.velocity
         a = path.params.acceleration
@@ -232,12 +249,6 @@ def emit_toolpath(path: Toolpath, fmt: str = "json") -> bytes:
                 lines.append(command.op.value.upper())
         return ("\n".join(lines) + "\n").encode("ascii")
     raise ValueError(f"unknown toolpath format {fmt!r}")
-
-
-def _command_to_obj(command: Command) -> dict:
-    if command.op is CommandOp.MOVE:
-        return {"op": "move", "xyz_mm": list(command.xyz_mm)}
-    return {"op": command.op.value}
 
 
 def parse_toolpath(data: bytes | str) -> Toolpath:

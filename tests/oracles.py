@@ -5,16 +5,19 @@ These are the original per-vertex, per-triangle and per-cell loops of
 ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer overhang
 search and run-list stack rule of ``blockplan.feasibility``, the all-pairs
 distance sort of ``blockplan.sequencer`` and the column-scan replay of
-``blockplan.validator``. The randomized equivalence tests require the
+``blockplan.validator``, and the ``json.dumps(indent=2)`` toolpath writer of
+``blockplan.toolpath``. The randomized equivalence tests require the
 current implementations to reproduce them exactly: same vertices,
 triangles, repair summary, occupied cells, check details, rewritten grids,
-placement orders, errors and simulation reports. The voxelizer has two
-interior tests here: the even-odd parity ray it used on closed meshes,
-and a per-cell generalized winding number that holds on every mesh.
+placement orders, errors, simulation reports and toolpath bytes. The
+voxelizer has two interior tests here: the even-odd parity ray it used on
+closed meshes, and a per-cell generalized winding number that holds on
+every mesh.
 The weld oracle needs scipy, which is a test-only dependency.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import defaultdict, deque
 
@@ -32,6 +35,7 @@ from blockplan.mesh_io import (
     is_manifold,
 )
 from blockplan.sequencer import AssemblySequence, face_neighbors, require_coverage
+from blockplan.toolpath import CommandOp, Toolpath
 from blockplan.validator import PlacementStep, SimulationReport
 
 # --- repair ------------------------------------------------------------------
@@ -468,3 +472,23 @@ def simulate_assembly(seq: AssemblySequence, grid: OccupancyGrid, config) -> Sim
         placed.add(cell)
     first_failure = next((n for n, s in enumerate(steps) if not s.ok), None)
     return SimulationReport(first_failure is None, tuple(steps), first_failure)
+
+
+# --- toolpath ----------------------------------------------------------------
+
+
+def emit_toolpath_json(path: Toolpath) -> bytes:
+    """toolpath.json through the standard library's indenting JSON encoder."""
+    obj = {
+        "params": {
+            "velocity": path.params.velocity,
+            "acceleration": path.params.acceleration,
+        },
+        "commands": [
+            {"op": "move", "xyz_mm": list(c.xyz_mm)}
+            if c.op is CommandOp.MOVE
+            else {"op": c.op.value}
+            for c in path.commands
+        ],
+    }
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")

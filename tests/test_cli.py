@@ -149,7 +149,9 @@ def test_pipeline_rejects_abstract_text(tmp_path, capsys):
     (["filter", "--text", ""], EXIT_REJECTED),
     (["pipeline", "--text", "   "], EXIT_REJECTED),
     (["pipeline", "--mesh", ""], EXIT_MALFORMED_FILE),  # reads the directory "."
-], ids=["filter-empty", "pipeline-blank", "mesh-empty"])
+    (["filter", "--text", "\x01\x02"], EXIT_REJECTED),
+    (["filter", "--text", "\u200b"], EXIT_REJECTED),
+], ids=["filter-empty", "pipeline-blank", "mesh-empty", "filter-control", "filter-invisible"])
 def test_blank_source_arguments_exit_with_their_codes(tmp_path, capsys, argv, code):
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
     if code == EXIT_REJECTED:
@@ -258,15 +260,20 @@ def _grid_doc(cell_size="10.0", dims="[2, 2, 2]", occupied="[[0, 0, 0]]",
             f'"dims": {dims}, "occupied": {occupied}}}')
 
 
-def _run_quickly(argv: list[str]) -> None:
-    """Run the CLI in a subprocess that must exit 0 within 10 s."""
+def _run_cli_process(argv: list[str], timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "blockplan.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _run_quickly(argv: list[str]) -> None:
+    """Run the CLI in a subprocess that must exit 0 within 10 s."""
+    done = _run_cli_process(argv, timeout=10)
     assert done.returncode == EXIT_OK, done.stderr
 
 
@@ -593,8 +600,9 @@ def test_text_input_rejects_non_string_manifest(tmp_path):
     assert code == EXIT_SCHEMA
 
 
-@pytest.mark.parametrize("entry", [5, ["a"], "\u0000"], ids=["number", "list", "null-byte"])
-def test_text_input_rejects_bad_manifest_entries(tmp_path, entry):
+@pytest.mark.parametrize("entry", [5, ["a"], "\u0000", "a\u0000b"],
+                         ids=["number", "list", "null-byte", "inner-null-byte"])
+def test_text_input_rejects_bad_manifest_entries(tmp_path, capsys, entry):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"coffee table": entry}))
     code = main([
@@ -602,6 +610,7 @@ def test_text_input_rejects_bad_manifest_entries(tmp_path, entry):
         "--mesh-manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
     ])
     assert code == EXIT_CLIENT_UNAVAILABLE
+    assert "\x00" not in capsys.readouterr().err  # the message quotes the file name
 
 
 def test_mesh_file_and_manifest_entry_share_the_suffix_rule(demo_mesh_files, tmp_path):
@@ -743,6 +752,27 @@ def test_argparse_usage_errors():
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
         main(["pipeline"])  # needs --mesh or --text
+
+
+def test_in_process_calls_leave_no_state_behind(demo_mesh_files, tmp_path, capsys, monkeypatch):
+    # main() builds its argument parser once per process: what one call
+    # parses must not reach the next, which must match a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    source = ["pipeline", "--mesh", demo_mesh_files["shelf"]]
+    first = [*source, "--set", "inventory=12", "--format", "robot_script"]
+    assert main([*first, "--out-dir", str(tmp_path / "first")]) == EXIT_OK
+    assert main([*source, "--out-dir", str(tmp_path / "second")]) == EXIT_OK
+    assert _run_cli_process([*source, "--out-dir", str(tmp_path / "fresh")]).returncode == EXIT_OK
+    assert read_artifacts(tmp_path / "second") == read_artifacts(tmp_path / "fresh")
+    assert not (tmp_path / "second" / "toolpath.txt").exists()
+    capsys.readouterr()
+
+    for argv in (["pipeline"], ["--help"], ["toolpath", "--help"], ["filter", "--bogus"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        fresh = _run_cli_process(argv)
+        assert (excinfo.value.code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_cli_runs_without_scipy(demo_mesh_files, tmp_path):

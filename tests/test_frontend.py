@@ -112,6 +112,13 @@ def test_filter_rejects_blank_response():
     assert isinstance(filter_request("x", StubClient("   ")), Rejection)
 
 
+@pytest.mark.parametrize("response", ["...", "\x01\x02", "\u200b"])
+def test_filter_rejects_a_response_with_no_letter_or_digit(response):
+    assert isinstance(filter_request("x", StubClient(response)), Rejection)
+    with pytest.raises(ValueError):
+        ObjectRequest("x", response)
+
+
 @pytest.mark.parametrize(
     "exc", [TimeoutError("slow"), ConnectionError("gone"), OSError("broken pipe")]
 )
@@ -164,6 +171,12 @@ def test_fallback_extracts_head_phrase(text, phrase):
         "...",
         "false",
         '"False."',
+        # no letter or digit: control, invisible or symbol characters only
+        "\x01\x02",
+        "\x00",
+        "\u200b",
+        "make me a \u200b",
+        "a \u2605",
     ],
 )
 def test_fallback_rejects_abstract_or_empty_heads(text):

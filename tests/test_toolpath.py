@@ -6,7 +6,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockplan.config import AssemblyConfig
 from blockplan.errors import ConfigViolation, SchemaError, SequenceGridMismatch
@@ -24,6 +27,7 @@ from blockplan.toolpath import (
     parse_toolpath,
     plan_toolpath,
 )
+from tests.oracles import emit_toolpath_json
 
 OPERATING_POINT = MotionParams(2.0, 1.0)
 
@@ -334,6 +338,38 @@ def test_json_document_shape(grid_factory, config):
     assert doc["commands"][0] == {"op": "move", "xyz_mm": [-150.0, -150.0, 650.0]}
     assert doc["commands"][3] == {"op": "grip"}
     assert doc["commands"][7] == {"op": "release"}
+
+
+_SPECIAL_FLOATS = (-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf)
+_coordinates = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_commands = st.lists(
+    st.sampled_from([Command(CommandOp.GRIP), Command(CommandOp.RELEASE)])
+    | st.tuples(_coordinates, _coordinates, _coordinates).map(lambda xyz: move(*xyz)),
+    max_size=20,
+)
+# every kind of number MotionParams accepts: ints, floats, a float subclass, True
+_limits = (
+    st.integers(1, 10**30)
+    | st.floats(min_value=5e-324, allow_infinity=False)
+    | st.floats(min_value=5e-324, allow_infinity=False).map(np.float64)
+    | st.just(True)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(commands=_commands, velocity=_limits, acceleration=_limits)
+@example(commands=[], velocity=2.0, acceleration=1.0)
+@example(
+    commands=[Command(CommandOp.GRIP)] * 2 + [Command(CommandOp.RELEASE)] * 3,
+    velocity=2, acceleration=True,
+)
+@example(
+    commands=[move(*_SPECIAL_FLOATS[:3]), move(*_SPECIAL_FLOATS[3:]), move(0, -0.0, 1)],
+    velocity=1e308, acceleration=5e-324,
+)
+def test_json_writer_matches_the_json_module(commands, velocity, acceleration):
+    path = Toolpath(tuple(commands), MotionParams(velocity, acceleration))
+    assert emit_toolpath(path) == emit_toolpath_json(path)
 
 
 def test_robot_script_format(grid_factory, config):
