@@ -88,9 +88,9 @@ def _load_config(args: argparse.Namespace) -> AssemblyConfig:
         try:
             values = json.loads(Path(args.config).read_text("utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
-            raise SchemaError(f"cannot load config {args.config}: {exc}") from exc
+            raise SchemaError(f"cannot load config {args.config!r}: {exc}") from exc
         if not isinstance(values, dict):
-            raise SchemaError(f"config {args.config} must be a JSON object")
+            raise SchemaError(f"config {args.config!r} must be a JSON object")
     for item in args.set or []:
         if "=" not in item:
             raise SchemaError(f"--set needs key=value, got {item!r}")
@@ -129,7 +129,7 @@ def _fitted_mesh(
         try:  # the file bytes are freed once parsed, before repair
             mesh = parse_mesh(path.read_bytes(), path_format_hint(path))
         except OSError as exc:
-            raise MalformedFile(f"cannot read {path}: {exc}") from exc
+            raise MalformedFile(f"cannot read {str(path)!r}: {exc}") from exc
         provenance = f"mesh file {args.mesh}"
     else:
         request = _object_request(args.text)

@@ -163,7 +163,9 @@ def build_grid(box: Aabb, cell_size: float = DEFAULT_CELL_SIZE) -> GridSpec:
     return GridSpec(origin=box.min_corner, cell_size=float(cell_size), dims=dims)
 
 
-def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
+def voxelize(
+    mesh: TriangleMesh, spec: GridSpec, *, surface_limit: int | None = None
+) -> OccupancyGrid:
     """Mark every cell the surface intersects, then every cell inside it.
 
     The surface test is an exact triangle/box separating-axis test with a
@@ -172,7 +174,10 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
     surface contact is inside when the mesh's generalized winding number at
     its center exceeds 1/2 in magnitude: the solid with its enclosed
     cavities, also for open, non-manifold or overlapping-part meshes. Both
-    tests run in fixed-size batches. Deterministic.
+    tests run in fixed-size batches. Deterministic. A triangle inside one
+    cell and an already-filled cell skip the SAT test, and a rescale step
+    that cannot fit skips the interior: when the surface alone fills more
+    than ``surface_limit`` cells, the grid holds those surface cells only.
     """
     cell = spec.cell_size
     origin = np.asarray(spec.origin, dtype=np.float64)
@@ -180,7 +185,8 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
     coords = mesh.triangle_coords()
     if len(coords):
         _mark_surface(coords, origin, cell, filled)
-        _mark_interior(coords, origin, cell, filled)
+        if surface_limit is None or np.count_nonzero(filled) <= surface_limit:
+            _mark_interior(coords, origin, cell, filled)
     occupied = frozenset(map(tuple, np.argwhere(filled).tolist()))
     return OccupancyGrid(spec, occupied)
 
@@ -192,18 +198,24 @@ def _mark_surface(
     a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
     lo = np.floor((_column_min(a, b, c) - origin - SAT_EPSILON) / cell).astype(np.int64)
     hi = np.floor((_column_max(a, b, c) - origin + SAT_EPSILON) / cell).astype(np.int64)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, dims - 1)
+    # a triangle whose widened range is one cell of the grid lies at least
+    # SAT_EPSILON inside that cell, so it meets the cell without a test
+    inner = ((lo == hi) & (lo >= 0) & (hi < dims)).all(axis=1)
+    filled[tuple(lo[inner].T)] = True
+    coords, lo, hi = coords[~inner], np.maximum(lo[~inner], 0), np.minimum(hi[~inner], dims - 1)
     span = np.maximum(hi - lo + 1, 0)
     counts = span[:, 0] * span[:, 1] * span[:, 2]
     ends = np.cumsum(counts)
+    total = int(counts.sum())
     # candidate pair p is cell number p - (ends[t] - counts[t]) of triangle t's range
-    for begin in range(0, int(ends[-1]), _BATCH_PAIRS):
-        pair = np.arange(begin, min(begin + _BATCH_PAIRS, int(ends[-1])))
+    for begin in range(0, total, _BATCH_PAIRS):
+        pair = np.arange(begin, min(begin + _BATCH_PAIRS, total))
         tri = np.searchsorted(ends, pair, side="right")
         local = pair - (ends[tri] - counts[tri])
         ny, nz = span[tri, 1], span[tri, 2]
         ijk = lo[tri] + np.stack([local // (ny * nz), local // nz % ny, local % nz], axis=1)
+        free = ~filled[tuple(ijk.T)]  # a filled cell needs no test
+        tri, ijk = tri[free], ijk[free]
         centers = origin + (ijk + 0.5) * cell
         hit = _triangle_box_intersect(coords[tri], centers, cell / 2.0)
         filled[tuple(ijk[hit].T)] = True
@@ -238,11 +250,12 @@ def _triangle_box_intersect(tri: np.ndarray, center: np.ndarray, half: float) ->
     radius = half * _abs_sum(normal)
     keep &= ~(tilted & (np.abs(dist) > radius + eps))
 
-    for edge in edges:
-        for axis in range(3):
-            unit = np.zeros(3)
-            unit[axis] = 1.0
-            sep = np.cross(unit, edge)
+    zero = np.zeros(len(v))
+    for ex, ey, ez in (edge.T for edge in edges):
+        # the x, y and z unit vectors crossed with the edge, as np.cross
+        # gives them up to the sign of a zero
+        for sep in ((zero, -ez, ey), (ez, zero, -ex), (-ey, ex, zero)):
+            sep = np.stack(sep, axis=1)
             length = np.sqrt(_rowdot(sep, sep))
             usable = length >= 1e-12
             sep = sep / np.where(usable, length, 1.0)[:, None]

@@ -212,13 +212,16 @@ def rescale_until_fits(
     where L is the current longest bounding-box edge, which shaves exactly
     one cell off the longest axis per iteration. Returns the final grid,
     the cumulative shrink factor (1.0 without a shrink; fitting the mesh to
-    the workspace is the caller's step) and the iteration count.
+    the workspace is the caller's step) and the iteration count. A step
+    that can shrink again skips the interior pass when its surface alone
+    exceeds the inventory; the last possible step voxelizes in full, so a
+    ``CannotFit`` message reports the complete count.
     """
     cell_size = grid.spec.cell_size
     scale = 1.0
     iterations = 0
+    box = bounding_box(mesh)
     while len(grid.occupied) > inventory:
-        box = bounding_box(mesh)
         longest = max(box.extents)
         if longest - cell_size < cell_size:
             raise CannotFit(
@@ -231,7 +234,11 @@ def rescale_until_fits(
         mesh = mesh.with_vertices(anchor + (mesh.vertices - anchor) * factor)
         scale *= factor
         iterations += 1
-        grid = voxelize(mesh, build_grid(bounding_box(mesh), cell_size))
+        box = bounding_box(mesh)
+        last = max(box.extents) - cell_size < cell_size
+        grid = voxelize(
+            mesh, build_grid(box, cell_size), surface_limit=None if last else inventory
+        )
     return grid, float(scale), iterations
 
 

@@ -238,11 +238,13 @@ class MockMeshGenerator(MeshGeneratorClient):
         try:
             manifest = json.loads(path.read_text("utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
-            raise ClientUnavailable(f"cannot load mesh manifest {path}: {exc}") from exc
+            raise ClientUnavailable(f"cannot load mesh manifest {str(path)!r}: {exc}") from exc
         if not isinstance(manifest, dict):
-            raise ClientUnavailable(f"mesh manifest {path} must be a JSON object")
+            raise ClientUnavailable(f"mesh manifest {str(path)!r} must be a JSON object")
         if not all(isinstance(entry, str) for entry in manifest.values()):
-            raise ClientUnavailable(f"mesh manifest {path} must map phrases to file names")
+            raise ClientUnavailable(
+                f"mesh manifest {str(path)!r} must map phrases to file names"
+            )
         return cls(manifest, base_dir=path.parent)
 
     def generate(self, prompt: str) -> tuple[bytes, str | None]:

@@ -3,16 +3,16 @@ rules, the connectivity-aware sort and the build simulation.
 
 These are the original per-vertex, per-triangle and per-cell loops of
 ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer overhang
-search and run-list stack rule of ``blockplan.feasibility``, the all-pairs
-distance sort of ``blockplan.sequencer`` and the column-scan replay of
-``blockplan.validator``, and the ``json.dumps(indent=2)`` toolpath writer of
-``blockplan.toolpath``. The randomized equivalence tests require the
-current implementations to reproduce them exactly: same vertices,
-triangles, repair summary, occupied cells, check details, rewritten grids,
-placement orders, errors, simulation reports and toolpath bytes. The
-voxelizer has two interior tests here: the even-odd parity ray it used on
-closed meshes, and a per-cell generalized winding number that holds on
-every mesh.
+search, run-list stack rule and full-voxelize rescale loop of
+``blockplan.feasibility``, the all-pairs distance sort of
+``blockplan.sequencer``, the column-scan replay of ``blockplan.validator``,
+and the ``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``.
+The randomized equivalence tests require the current implementations to
+reproduce them exactly: same vertices, triangles, repair summary, occupied
+cells, check details, rewritten and rescaled grids, placement orders,
+errors, simulation reports and toolpath bytes. The voxelizer has two
+interior tests here: the even-odd parity ray it used on closed meshes, and
+a per-cell generalized winding number that holds on every mesh.
 The weld oracle needs scipy, which is a test-only dependency.
 """
 from __future__ import annotations
@@ -24,14 +24,16 @@ from collections import defaultdict, deque
 import numpy as np
 from scipy.spatial import cKDTree
 
-from blockplan.discretizer import SAT_EPSILON, Cell, GridSpec, OccupancyGrid
-from blockplan.errors import EmptyAssembly, Unsequenceable
+from blockplan import discretizer
+from blockplan.discretizer import SAT_EPSILON, Cell, GridSpec, OccupancyGrid, build_grid
+from blockplan.errors import CannotFit, EmptyAssembly, Unsequenceable
 from blockplan.feasibility import CheckKind, CheckResult
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     DEGENERATE_AREA,
     RepairSummary,
     TriangleMesh,
+    bounding_box,
     is_manifold,
 )
 from blockplan.sequencer import AssemblySequence, face_neighbors, require_coverage
@@ -404,6 +406,31 @@ def truncate_stacks(
             occupied = occupied - set(offenders)
             continue
         return trial
+
+
+def rescale_until_fits(
+    mesh: TriangleMesh, grid: OccupancyGrid, inventory: int
+) -> tuple[OccupancyGrid, float, int]:
+    """Shrink by (L - cell) / L per step, each step voxelized in full."""
+    cell_size = grid.spec.cell_size
+    scale = 1.0
+    iterations = 0
+    while len(grid.occupied) > inventory:
+        box = bounding_box(mesh)
+        longest = max(box.extents)
+        if longest - cell_size < cell_size:
+            raise CannotFit(
+                f"{len(grid.occupied)} components exceed the inventory of "
+                f"{inventory} and the design cannot shrink "
+                f"below one component"
+            )
+        factor = (longest - cell_size) / longest
+        anchor = np.asarray(box.min_corner)
+        mesh = mesh.with_vertices(anchor + (mesh.vertices - anchor) * factor)
+        scale *= factor
+        iterations += 1
+        grid = discretizer.voxelize(mesh, build_grid(bounding_box(mesh), cell_size))
+    return grid, float(scale), iterations
 
 
 # --- sequencing ------------------------------------------------------------------

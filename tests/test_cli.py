@@ -175,6 +175,27 @@ def test_pipeline_cannot_fit(tmp_path):
     assert code == EXIT_CANNOT_FIT
 
 
+TABLE_REQUEST = ["pipeline", "--text", "make me a coffee table", "--mesh-manifest"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["pipeline", "--mesh", "{missing}"], EXIT_MALFORMED_FILE, "cannot read"),
+    (["filter", "--text", "a box", "--config", "{missing}"], EXIT_SCHEMA, "cannot load config"),
+    (["filter", "--text", "a box", "--config", "{listed}"], EXIT_SCHEMA, "must be a JSON object"),
+    ([*TABLE_REQUEST, "{missing}"], EXIT_CLIENT_UNAVAILABLE, "cannot load mesh manifest"),
+    ([*TABLE_REQUEST, "{listed}"], EXIT_CLIENT_UNAVAILABLE, "must be a JSON object"),
+], ids=["mesh", "config", "config-not-object", "manifest", "manifest-not-object"])
+def test_errors_escape_control_characters_in_paths(tmp_path, capsys, argv, code, message):
+    listed = tmp_path / "c\x1b[31md.json"
+    listed.write_text("[]")
+    paths = {"missing": tmp_path / "a\x1b[31mb", "listed": listed}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.rstrip("\n").isprintable()
+
+
 # --- single stages -----------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from blockplan import feasibility
+from blockplan import discretizer, feasibility
 from blockplan.config import AssemblyConfig
 from blockplan.discretizer import build_grid, voxelize
 from blockplan.errors import CannotFit, EmptyAssembly
@@ -259,15 +259,38 @@ def test_orchestrator_oversized_block(demo_meshes, config):
 def test_block_demo_voxelizes_once_per_rescale_iteration(demo_meshes, config, monkeypatch):
     calls = []
 
-    def counting_voxelize(mesh, spec):
+    def counting_voxelize(mesh, spec, **kwargs):
         calls.append(spec)
-        return voxelize(mesh, spec)
+        return voxelize(mesh, spec, **kwargs)
 
     monkeypatch.setattr(feasibility, "voxelize", counting_voxelize)
     _, report = run_feasibility(demo_meshes["block"], config)
     iterations = report.modifications[0]["iterations"]
     assert iterations == 3
     assert len(calls) == 1 + iterations
+
+
+@pytest.mark.parametrize("name, voxelizations", [("block", 4), ("shelf", 3)])
+def test_rescale_steps_that_cannot_fit_skip_the_interior(
+    name, voxelizations, demo_meshes, config, monkeypatch
+):
+    calls = {"voxelize": 0, "interior": 0}
+
+    def counting(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(feasibility, "voxelize", counting("voxelize", voxelize))
+    monkeypatch.setattr(
+        discretizer, "_mark_interior", counting("interior", discretizer._mark_interior)
+    )
+    run_feasibility(demo_meshes[name], config)
+    # the first-pass grid and the grid that fits are complete; the steps
+    # between them stop at a surface that already exceeds the inventory
+    assert calls == {"voxelize": voxelizations, "interior": 2}
 
 
 def test_orchestrator_shelf(demo_meshes, config):

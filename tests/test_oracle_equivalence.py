@@ -7,10 +7,13 @@ cover cell designs, jittered and duplicated triangle soups, open spheres
 and randomly flipped Moebius strips at several cell sizes, plus the four
 demo meshes and icospheres. Every grid matches the per-cell winding-number
 oracle; the closed ones (cell designs, demos, icospheres) also match the
-parity-ray oracle. Random occupancy grids hold the overhang and
-stack checks, both rewrites and the placement order (or its error) to the
-old per-layer searches, and random placement orders hold the build
-simulation to the old column scan.
+parity-ray oracle. Seeded sub-cell triangles on cell faces, edges and
+corners hold the one-cell surface shortcut to the per-pair SAT oracle, and
+the rescale loop that skips the interior on steps that cannot fit matches
+the loop that voxelizes every step in full, errors included. Random
+occupancy grids hold the overhang and stack checks, both rewrites and the
+placement order (or its error) to the old per-layer searches, and random
+placement orders hold the build simulation to the old column scan.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import pytest
 
 from blockplan.config import AssemblyConfig
 from blockplan.discretizer import (
+    SAT_EPSILON,
     GridSpec,
     OccupancyGrid,
     Workspace,
@@ -26,13 +30,14 @@ from blockplan.discretizer import (
     fit_to_workspace,
     voxelize,
 )
-from blockplan.errors import BlockplanError
+from blockplan.errors import BlockplanError, CannotFit
 from blockplan.feasibility import (
     _overhang_offenders,
     check_overhang,
     check_sequence_connectivity,
     check_vertical_stack,
     remove_overhangs,
+    rescale_until_fits,
     truncate_stacks,
 )
 from blockplan.mesh_io import (
@@ -234,6 +239,124 @@ def test_weld_pair_at_exactly_the_tolerance_matches_oracle():
         theirs = oracles.repair_mesh(TriangleMesh(verts, tris), weld_tolerance=tolerance)
         np.testing.assert_array_equal(ours.vertices, theirs.vertices)
         assert ours.repair == theirs.repair
+
+
+# --- surface shortcut and rescale pruning ----------------------------------------
+
+
+def lattice_triangles(
+    rng: np.random.Generator, spec: GridSpec, count: int
+) -> TriangleMesh:
+    """Triangles smaller than a cell, each with one vertex on a cell face,
+    edge or corner of the grid lattice: at the exact lattice coordinate, or
+    off it by one or two SAT_EPSILON or by up to 3e-9. Along a lattice axis a
+    triangle lies in the plane or reaches into one side of it."""
+    origin, cell = np.asarray(spec.origin), spec.cell_size
+    nudges = (0.0, SAT_EPSILON, -SAT_EPSILON, 2 * SAT_EPSILON, -2 * SAT_EPSILON)
+    coords = np.empty((count, 3, 3))
+    for t in range(count):
+        on_lattice = rng.permutation(3) < int(rng.integers(1, 4))  # face, edge or corner
+        anchor = np.where(
+            on_lattice,
+            rng.integers(0, np.asarray(spec.dims) + 1),
+            rng.integers(0, spec.dims) + rng.uniform(0.1, 0.9, 3),
+        ) * cell + origin
+        nudge = np.where(rng.random(3) < 0.5, rng.choice(nudges, 3), rng.uniform(-3e-9, 3e-9, 3))
+        anchor = anchor + np.where(on_lattice, nudge, 0.0)
+        reach = np.where(
+            on_lattice,
+            rng.choice((0.0, 1.0, -1.0), 3) * rng.uniform(0.0, 0.4, 3),
+            rng.uniform(-0.08, 0.08, 3),
+        ) * cell
+        coords[t] = anchor + np.vstack([np.zeros(3), rng.random((2, 3)) * reach])
+    return TriangleMesh(coords.reshape(-1, 3), np.arange(3 * count).reshape(-1, 3))
+
+
+def one_cell_triangles(mesh: TriangleMesh, spec: GridSpec) -> int:
+    """Triangles whose SAT_EPSILON-widened index range is one grid cell."""
+    coords = mesh.triangle_coords() - np.asarray(spec.origin)
+    lo = np.floor((coords.min(axis=1) - SAT_EPSILON) / spec.cell_size)
+    hi = np.floor((coords.max(axis=1) + SAT_EPSILON) / spec.cell_size)
+    inside = (lo == hi) & (lo >= 0) & (hi < np.asarray(spec.dims))
+    return int(inside.all(axis=1).sum())
+
+
+SHORTCUT_GRIDS = (
+    GridSpec((0.0, 0.0, 0.0), 10.0, (4, 4, 4)),
+    GridSpec((0.0, 0.0, 0.0), 2.5, (4, 4, 4)),
+    GridSpec((-3.7, 12.1, 0.45), 10.0, (4, 4, 4)),
+    # a 1e6 cm workspace, where coordinate rounding comes near SAT_EPSILON
+    GridSpec((0.0, 0.0, 0.0), 2.5e5, (4, 4, 4)),
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("grid", range(len(SHORTCUT_GRIDS)))
+def test_surface_shortcut_matches_per_pair_oracle(grid, seed):
+    rng = np.random.default_rng([seed, grid, 31])
+    spec = SHORTCUT_GRIDS[grid]
+    mesh = lattice_triangles(rng, spec, 60)
+    # both paths run: one-cell triangles skip the SAT test, the rest do not
+    assert 0 < one_cell_triangles(mesh, spec) < 60
+    assert voxelize(mesh, spec).occupied == oracles.winding_voxelize(mesh, spec).occupied
+
+
+def rescale_outcome(rescale, mesh: TriangleMesh, cell: float, inventory: int):
+    grid = voxelize(mesh, build_grid(bounding_box(mesh), cell))
+    try:
+        final, scale, iterations = rescale(mesh, grid, inventory)
+    except CannotFit as exc:
+        return str(exc)
+    return final, scale, iterations
+
+
+RESCALE_MESHES = {
+    "block": oversized_block_mesh,
+    "shelf": shelf_mesh,
+    "tee": tee_mesh,
+    "table": table_mesh,
+    "sphere": lambda: icosphere(15.0, subdivisions=3),
+    "open_sphere": lambda: first_triangle_dropped(icosphere(15.0, subdivisions=3)),
+}
+
+
+def first_triangle_dropped(mesh: TriangleMesh) -> TriangleMesh:
+    return TriangleMesh(mesh.vertices, mesh.triangles[1:])
+
+
+@pytest.mark.parametrize("name", sorted(RESCALE_MESHES))
+def test_pruned_rescale_matches_full_voxelize_loop(name):
+    mesh, _ = fit_to_workspace(RESCALE_MESHES[name](), Workspace())
+    refusals = 0
+    # 7 and 4 cm leave some designs wider than one cell but unable to shrink
+    for cell in (10.0, 7.0, 4.0):
+        for inventory in (1, 4, 12, 40):
+            ours = rescale_outcome(rescale_until_fits, mesh, cell, inventory)
+            assert ours == rescale_outcome(oracles.rescale_until_fits, mesh, cell, inventory)
+            refusals += isinstance(ours, str)
+    # the cases include both a fitted grid and a CannotFit message
+    assert 0 < refusals < 12
+
+
+def corner_plates(at: float, span: float) -> TriangleMesh:
+    """Three open squares on the planes x, y and z = ``at``, each spanning
+    [0, span] on its other two axes, wound alike about the origin."""
+    square = np.array([(at, 0.0, 0.0), (at, span, 0.0), (at, span, span), (at, 0.0, span)])
+    verts = np.concatenate([np.roll(square, axis, axis=1) for axis in range(3)])
+    tris = np.array([(q, q + 1, q + 2) for q in (0, 4, 8)] + [(q, q + 2, q + 3) for q in (0, 4, 8)])
+    return TriangleMesh(verts, tris)
+
+
+def test_cannot_fit_reports_the_complete_count():
+    # one shrink takes the plates from 2.9 to 1.9 cells, which cannot shrink
+    # again; the 10 cm cell at the origin touches no plate, but its center
+    # sees them under more than 2 pi, so only the interior pass fills it
+    stretch = 2.9 / 1.9
+    mesh = corner_plates(10.5 * stretch, 19.0 * stretch)
+    for inventory in (5, 6):
+        message = rescale_outcome(rescale_until_fits, mesh, 10.0, inventory)
+        assert message == rescale_outcome(oracles.rescale_until_fits, mesh, 10.0, inventory)
+        assert message.startswith("8 components exceed")
 
 
 # --- feasibility rules and sequencing ------------------------------------------
