@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -98,12 +100,13 @@ def check_component_count(grid: OccupancyGrid, inventory: int) -> CheckResult:
     return CheckResult(CheckKind.COMPONENT_COUNT, (count,) if count > inventory else ())
 
 
-def _overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
-    """Cells more than ``limit`` lateral steps from a supported cell.
-
-    Supported means on the ground (k = 0) or directly on an occupied cell.
-    One breadth-first search from every supported cell moves only within a
-    layer; a cell it never reaches has no path to support.
+def check_overhang(
+    grid: OccupancyGrid, max_unsupported: int = DEFAULT_OVERHANG_LIMIT
+) -> CheckResult:
+    """Fails when a cell sits more than ``max_unsupported`` lateral steps
+    from a supported cell: one on the ground (k = 0) or directly on an
+    occupied cell. One breadth-first search from every supported cell moves
+    only within a layer; a cell it never reaches counts as infinitely far.
     """
     occupied = grid.occupied
     dist = {c: 0 for c in occupied if c[2] == 0 or (c[0], c[1], c[2] - 1) in occupied}
@@ -115,16 +118,21 @@ def _overhang_offenders(grid: OccupancyGrid, limit: int) -> list[Cell]:
             if nb in occupied and nb not in dist:
                 dist[nb] = dist[cell] + 1
                 queue.append(nb)
-    return sorted(c for c in occupied if dist.get(c, limit + 1) > limit)
-
-
-def check_overhang(
-    grid: OccupancyGrid, max_unsupported: int = DEFAULT_OVERHANG_LIMIT
-) -> CheckResult:
-    """Fails when a cell sits farther than ``max_unsupported`` lateral steps
-    from any supported cell of its layer (unreachable counts as infinite)."""
-    offenders = _overhang_offenders(grid, max_unsupported)
+    offenders = sorted(c for c in occupied if dist.get(c, float("inf")) > max_unsupported)
     return CheckResult(CheckKind.OVERHANG, tuple(offenders))
+
+
+def _prune(grid: OccupancyGrid, *checks: Callable[..., CheckResult]) -> OccupancyGrid:
+    """Delete the first failing check's offenders until every check passes.
+
+    A check runs only on a grid that passes the ones before it. A grid that
+    already passes comes back as it is.
+    """
+    while True:
+        offenders = next(filter(None, (check(grid).details for check in checks)), ())
+        if not offenders:
+            return grid
+        grid = OccupancyGrid(grid.spec, grid.occupied - set(offenders))
 
 
 def remove_overhangs(
@@ -135,13 +143,7 @@ def remove_overhangs(
     Removal can orphan cells above (their support vanishes), so the sweep
     repeats to a fixpoint. Grids that already pass come back unchanged.
     """
-    occupied = grid.occupied
-    while True:
-        trial = OccupancyGrid(grid.spec, occupied)
-        offenders = _overhang_offenders(trial, max_unsupported)
-        if not offenders:
-            return trial
-        occupied = occupied - set(offenders)
+    return _prune(grid, partial(check_overhang, max_unsupported=max_unsupported))
 
 
 def check_vertical_stack(
@@ -172,14 +174,8 @@ def truncate_stacks(
     Truncation can orphan whatever rested on the removed cells, so the
     overhang sweep runs interleaved until both rules hold.
     """
-    occupied = grid.occupied
-    while True:
-        trial = OccupancyGrid(grid.spec, occupied)
-        offenders = check_vertical_stack(trial, max_stack).details
-        offenders = offenders or _overhang_offenders(trial, max_unsupported)
-        if not offenders:
-            return trial
-        occupied = occupied - set(offenders)
+    stack = partial(check_vertical_stack, max_stack=max_stack)
+    return _prune(grid, stack, partial(check_overhang, max_unsupported=max_unsupported))
 
 
 def check_sequence_connectivity(
@@ -263,29 +259,24 @@ def run_feasibility(
     if not grid.occupied:
         raise EmptyAssembly("mesh voxelized to zero occupied cells")
 
-    results = (
-        check_component_count(grid, config.inventory),
-        check_overhang(grid, config.overhang_limit),
-        check_vertical_stack(grid, config.stack_limit),
-        check_sequence_connectivity(naive_sort(grid), grid),
-    )
+    overhang = partial(check_overhang, max_unsupported=config.overhang_limit)
+    stack = partial(check_vertical_stack, max_stack=config.stack_limit)
 
+    def connectivity(g: OccupancyGrid) -> CheckResult:
+        return check_sequence_connectivity(naive_sort(g), g)
+
+    count = check_component_count(grid, config.inventory)
+    results = (count, overhang(grid), stack(grid), connectivity(grid))
     modifications: list[dict] = []
     if failure_handling:
-        if results[0].failed:
+        if count.failed:
             grid, scale, iterations = rescale_until_fits(mesh, grid, config.inventory)
             modifications.append(
                 {"action": "rescale", "iterations": iterations, "scale": scale}
             )
-        rewrites = {
-            "remove_overhangs": lambda g: remove_overhangs(g, config.overhang_limit),
-            "truncate_stacks": lambda g: truncate_stacks(
-                g, config.stack_limit, config.overhang_limit
-            ),
-        }
-        for action, rewrite in rewrites.items():
-            # a grid that already passes comes back with its cells unchanged
-            trimmed = rewrite(grid)
+        rewrites = (("remove_overhangs", (overhang,)), ("truncate_stacks", (stack, overhang)))
+        for action, checks in rewrites:
+            trimmed = _prune(grid, *checks)
             removed = sorted(grid.occupied - trimmed.occupied)
             if removed:
                 modifications.append({"action": action, "removed": [list(c) for c in removed]})
@@ -293,12 +284,7 @@ def run_feasibility(
         if not grid.occupied:
             raise EmptyAfterModification("failure handling removed every cell")
         # the grid passes the overhang check, so connectivity_sort succeeds on it
-        if check_sequence_connectivity(naive_sort(grid), grid).failed:
+        if connectivity(grid).failed:
             modifications.append({"action": "connectivity_sort"})
 
-    report = FeasibilityReport(
-        results=results,
-        modifications=tuple(modifications),
-        final_component_count=len(grid.occupied),
-    )
-    return grid, report
+    return grid, FeasibilityReport(results, tuple(modifications), len(grid.occupied))

@@ -322,10 +322,10 @@ def serialize_mesh(mesh: TriangleMesh, fmt: MeshFormat | str) -> bytes:
 
 
 def _facet_normals(coords: np.ndarray) -> np.ndarray:
-    normals = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    lengths = np.linalg.norm(normals, axis=1)
-    safe = np.where(lengths > 0, lengths, 1.0)
-    return normals / safe[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge mesh gets inf or nan normals
+        normals = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+        lengths = np.linalg.norm(normals, axis=1)
+        return normals / np.where(lengths > 0, lengths, 1.0)[:, None]
 
 
 def _write_stl_ascii(mesh: TriangleMesh) -> bytes:
@@ -396,10 +396,10 @@ def repair_mesh(
         tris = tris[distinct]
     if len(tris):
         coords = verts[tris]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]), axis=1
-        )
-        thin = areas < DEGENERATE_AREA
+        # an area that overflows is not finite, so it is not thin and the triangle stays
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+            thin = 0.5 * np.linalg.norm(cross, axis=1) < DEGENERATE_AREA
         degenerate += int(thin.sum())
         tris = tris[~thin]
 

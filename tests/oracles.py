@@ -3,8 +3,8 @@ rules, the connectivity-aware sort and the build simulation.
 
 These are the original per-vertex, per-triangle and per-cell loops of
 ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer overhang
-search, run-list stack rule and full-voxelize rescale loop of
-``blockplan.feasibility``, the all-pairs distance sort of
+search, run-list stack rule, full-voxelize rescale loop and rewrite
+orchestration of ``blockplan.feasibility``, the all-pairs distance sort of
 ``blockplan.sequencer``, the column-scan replay of ``blockplan.validator``,
 and the ``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``.
 The randomized equivalence tests require the current implementations to
@@ -26,8 +26,15 @@ from scipy.spatial import cKDTree
 
 from blockplan import discretizer
 from blockplan.discretizer import SAT_EPSILON, Cell, GridSpec, OccupancyGrid, build_grid
-from blockplan.errors import CannotFit, EmptyAssembly, Unsequenceable
-from blockplan.feasibility import CheckKind, CheckResult
+from blockplan.config import AssemblyConfig
+from blockplan.errors import CannotFit, EmptyAfterModification, EmptyAssembly, Unsequenceable
+from blockplan.feasibility import (
+    CheckKind,
+    CheckResult,
+    FeasibilityReport,
+    check_component_count,
+    check_sequence_connectivity,
+)
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     DEGENERATE_AREA,
@@ -36,7 +43,7 @@ from blockplan.mesh_io import (
     bounding_box,
     is_manifold,
 )
-from blockplan.sequencer import AssemblySequence, face_neighbors, require_coverage
+from blockplan.sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
 from blockplan.toolpath import CommandOp, Toolpath
 from blockplan.validator import PlacementStep, SimulationReport
 
@@ -431,6 +438,59 @@ def rescale_until_fits(
         iterations += 1
         grid = discretizer.voxelize(mesh, build_grid(bounding_box(mesh), cell_size))
     return grid, float(scale), iterations
+
+
+def run_feasibility(
+    mesh: TriangleMesh,
+    config: AssemblyConfig | None = None,
+    failure_handling: bool = True,
+) -> tuple[OccupancyGrid, FeasibilityReport]:
+    """First pass voxelized by ``blockplan``, then every check and rewrite
+    written out on its own: the overhang and stack checks and rewrites and
+    the rescale loop are this module's, and each configured check is spelled
+    again where a rewrite needs it."""
+    config = config or AssemblyConfig()
+    grid = discretizer.voxelize(mesh, build_grid(bounding_box(mesh), config.cell_size))
+    if not grid.occupied:
+        raise EmptyAssembly("mesh voxelized to zero occupied cells")
+
+    results = (
+        check_component_count(grid, config.inventory),
+        check_overhang(grid, config.overhang_limit),
+        check_vertical_stack(grid, config.stack_limit),
+        check_sequence_connectivity(naive_sort(grid), grid),
+    )
+
+    modifications: list[dict] = []
+    if failure_handling:
+        if results[0].failed:
+            grid, scale, iterations = rescale_until_fits(mesh, grid, config.inventory)
+            modifications.append(
+                {"action": "rescale", "iterations": iterations, "scale": scale}
+            )
+        rewrites = {
+            "remove_overhangs": lambda g: remove_overhangs(g, config.overhang_limit),
+            "truncate_stacks": lambda g: truncate_stacks(
+                g, config.stack_limit, config.overhang_limit
+            ),
+        }
+        for action, rewrite in rewrites.items():
+            trimmed = rewrite(grid)
+            removed = sorted(grid.occupied - trimmed.occupied)
+            if removed:
+                modifications.append({"action": action, "removed": [list(c) for c in removed]})
+            grid = trimmed
+        if not grid.occupied:
+            raise EmptyAfterModification("failure handling removed every cell")
+        if check_sequence_connectivity(naive_sort(grid), grid).failed:
+            modifications.append({"action": "connectivity_sort"})
+
+    report = FeasibilityReport(
+        results=results,
+        modifications=tuple(modifications),
+        final_component_count=len(grid.occupied),
+    )
+    return grid, report
 
 
 # --- sequencing ------------------------------------------------------------------

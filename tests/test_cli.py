@@ -423,6 +423,18 @@ def test_signalling_nan_binary_stl_is_malformed_without_a_warning(tmp_path):
     assert code == EXIT_MALFORMED_FILE
 
 
+def test_mesh_scale_that_overflows_triangle_areas_plans_without_a_warning(
+    demo_mesh_files, tmp_path, capsys
+):
+    # at 1e160 cm the table's triangle areas overflow; fitting scales it back down
+    argv = ["pipeline", "--mesh", demo_mesh_files["table"], "--set", "mesh_unit_scale=1e160"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "Warning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("span", ["9e307", "1e308"])
 def test_overflowing_mesh_extent_is_malformed(tmp_path, span):
     # finite coordinates whose max - min is inf would fit at scale 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from blockplan.mesh_io import (
     repair_mesh,
     serialize_mesh,
 )
-from blockplan.shapes import box_mesh, combine_meshes
+from blockplan.shapes import box_mesh, combine_meshes, icosphere, tee_mesh
 
 ONE_TRIANGLE_ASCII = b"""solid demo
   facet normal 0 0 1
@@ -267,6 +268,26 @@ def test_repair_is_idempotent():
     np.testing.assert_array_equal(again.triangles, repaired.triangles)
     assert again.repair.welded_vertices == 0
     assert again.repair.flipped_triangles == 0
+
+
+def test_repair_keeps_triangles_whose_area_overflows_without_a_warning():
+    sphere = icosphere(15.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = repair_mesh(sphere.with_vertices(sphere.vertices * 1e200))
+    plain = repair_mesh(sphere)
+    np.testing.assert_array_equal(huge.triangles, plain.triangles)
+    assert huge.repair == plain.repair
+
+
+def test_ascii_stl_of_an_overflowing_mesh_round_trips_without_a_warning():
+    tee = tee_mesh()
+    huge = tee.with_vertices(tee.vertices * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = serialize_mesh(huge, MeshFormat.STL_ASCII)
+    back = parse_mesh(data, MeshFormat.STL_ASCII)
+    np.testing.assert_array_equal(back.triangle_coords(), huge.triangle_coords())
 
 
 def test_repair_prunes_unreferenced_vertices():

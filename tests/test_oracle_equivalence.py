@@ -14,8 +14,15 @@ the loop that voxelizes every step in full, errors included. Random
 occupancy grids hold the overhang and stack checks, both rewrites and the
 placement order (or its error) to the old per-layer searches, and random
 placement orders hold the build simulation to the old column scan.
+``run_feasibility`` writes the grid and report bytes (or the error) of the
+orchestration it replaced, on the demos and on cell designs with riders on
+tall columns, over overhang limits 0-3, stack limits 1-4 and both
+failure-handling settings.
 """
 from __future__ import annotations
+
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -32,12 +39,12 @@ from blockplan.discretizer import (
 )
 from blockplan.errors import BlockplanError, CannotFit
 from blockplan.feasibility import (
-    _overhang_offenders,
     check_overhang,
     check_sequence_connectivity,
     check_vertical_stack,
     remove_overhangs,
     rescale_until_fits,
+    run_feasibility,
     truncate_stacks,
 )
 from blockplan.mesh_io import (
@@ -398,7 +405,7 @@ def test_feasibility_rules_match_oracle(seed):
     for _ in range(50):
         grid = random_grid(rng)
         for limit in range(5):
-            assert _overhang_offenders(grid, limit) == oracles.overhang_offenders(grid, limit)
+            assert list(check_overhang(grid, limit).details) == oracles.overhang_offenders(grid, limit)
             assert check_overhang(grid, limit) == oracles.check_overhang(grid, limit)
             assert remove_overhangs(grid, limit) == oracles.remove_overhangs(grid, limit)
             stack = limit + 1
@@ -407,6 +414,85 @@ def test_feasibility_rules_match_oracle(seed):
                 assert truncate_stacks(grid, stack, unsupported) == oracles.truncate_stacks(
                     grid, stack, unsupported
                 )
+
+
+def rider_design(rng: np.random.Generator) -> tuple[list, set]:
+    """Sparse random cells plus tall columns with a rider beside the top
+    cell. The rider is braced, so it is never a stack offender, but
+    truncating its column leaves it floating, and only the stack rewrite's
+    interleaved overhang sweep removes it. The ground cell at the origin
+    pins the design's bounding box to the grid. Returns (cells, riders)."""
+    dims = tuple(int(rng.integers(lo, hi)) for lo, hi in ((3, 6), (3, 6), (4, 8)))
+    cells = {tuple(c) for c in np.argwhere(rng.random(dims) < rng.uniform(0.0, 0.08)).tolist()}
+    riders = set()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = int(rng.integers(1, dims[0] - 1)), int(rng.integers(1, dims[1] - 1))
+        top = int(rng.integers(3, dims[2]))
+        cells.update((i, j, k) for k in range(top + 1))
+        di, dj = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(4))]
+        riders.add((i + di, j + dj, top))
+    return sorted(cells | riders | {(0, 0, 0)}), riders
+
+
+def feasibility_outcome(run, mesh: TriangleMesh, config: AssemblyConfig, handling: bool):
+    try:
+        grid, report = run(mesh, config, handling)
+    except BlockplanError as exc:
+        return type(exc).__name__, str(exc)
+    return grid.to_json(), report.to_json()
+
+
+def logged_actions(mesh: TriangleMesh, config: AssemblyConfig, handling: bool) -> list[dict]:
+    """The modification log of ``run_feasibility``, after checking that its
+    grid and report (or its error) match the orchestration oracle's."""
+    ours = feasibility_outcome(run_feasibility, mesh, config, handling)
+    assert ours == feasibility_outcome(oracles.run_feasibility, mesh, config, handling)
+    return json.loads(ours[1])["modifications"] if isinstance(ours[1], bytes) else []
+
+
+FEASIBILITY_DEMOS = (oversized_block_mesh, shelf_mesh, tee_mesh, table_mesh)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_feasibility_matches_orchestration_oracle(seed):
+    rng = np.random.default_rng([seed, 31])
+    designs = [rider_design(rng) for _ in range(2)]
+    cases = [(fit_to_workspace(FEASIBILITY_DEMOS[seed](), Workspace())[0], set())]
+    cases += [(cell_design_mesh([(c, c) for c in cells]), riders) for cells, riders in designs]
+    actions: set[str] = set()
+    swept_riders = 0
+    for mesh, riders in cases:
+        for overhang, stack in itertools.product(range(4), range(1, 5)):
+            config = AssemblyConfig(overhang_limit=overhang, stack_limit=stack)
+            assert logged_actions(mesh, config, False) == []
+            for entry in logged_actions(mesh, config, True):
+                actions.add(entry["action"])
+                if entry["action"] == "truncate_stacks":
+                    swept_riders += len(riders & {tuple(c) for c in entry["removed"]})
+    assert {"remove_overhangs", "truncate_stacks"} <= actions
+    assert swept_riders > 0
+    # one component short, each design fails its count and logs the rescale
+    for (mesh, _), (cells, _) in zip(cases[1:], designs):
+        config = AssemblyConfig(inventory=len(cells) - 1)
+        assert logged_actions(mesh, config, False) == []
+        assert logged_actions(mesh, config, True)[0]["action"] == "rescale"
+
+
+def test_truncation_runs_the_overhang_sweep():
+    # a four-cell column whose top carries a rider: cutting the column to two
+    # cells strands the top cell and the rider, and only the overhang sweep
+    # inside the stack rewrite removes them
+    cells = [(0, 0, k) for k in range(4)] + [(1, 0, 3)]
+    mesh = cell_design_mesh([(c, c) for c in cells])
+    config = AssemblyConfig(overhang_limit=1, stack_limit=1)
+    grid, report = run_feasibility(mesh, config)
+    assert report.modifications == (
+        {"action": "truncate_stacks", "removed": [[0, 0, 1], [0, 0, 2], [0, 0, 3], [1, 0, 3]]},
+    )
+    assert feasibility_outcome(oracles.run_feasibility, mesh, config, True) == (
+        grid.to_json(),
+        report.to_json(),
+    )
 
 
 def test_connectivity_sort_matches_oracle():
