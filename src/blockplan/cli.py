@@ -19,17 +19,11 @@ from .config import AssemblyConfig
 from .discretizer import OccupancyGrid, build_grid, fit_to_workspace, voxelize
 from .errors import (
     BlockplanError,
-    CannotFit,
     ClientUnavailable,
     ConfigViolation,
-    EmptyAfterModification,
-    EmptyAssembly,
     EmptyMesh,
     MalformedFile,
     SchemaError,
-    SequenceGridMismatch,
-    UnsupportedFormat,
-    Unsequenceable,
 )
 from .feasibility import run_feasibility
 from .frontend import (
@@ -53,33 +47,9 @@ from .validator import simulate_assembly, verify_report_consistency
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_MALFORMED_FILE = 3
-EXIT_UNSUPPORTED_FORMAT = 4
-EXIT_EMPTY_MESH = 5
 EXIT_REJECTED = 6
-EXIT_CLIENT_UNAVAILABLE = 7
-EXIT_CANNOT_FIT = 8
-EXIT_EMPTY_AFTER_MODIFICATION = 9
-EXIT_UNSEQUENCEABLE = 10
-EXIT_SEQUENCE_MISMATCH = 11
-EXIT_CONFIG_VIOLATION = 12
-EXIT_EMPTY_ASSEMBLY = 13
 EXIT_VALIDATION_FAILED = 14
-EXIT_SCHEMA = 15
-
-_ERROR_EXIT_CODES: dict[type, int] = {
-    MalformedFile: EXIT_MALFORMED_FILE,
-    UnsupportedFormat: EXIT_UNSUPPORTED_FORMAT,
-    EmptyMesh: EXIT_EMPTY_MESH,
-    ClientUnavailable: EXIT_CLIENT_UNAVAILABLE,
-    CannotFit: EXIT_CANNOT_FIT,
-    EmptyAfterModification: EXIT_EMPTY_AFTER_MODIFICATION,
-    Unsequenceable: EXIT_UNSEQUENCEABLE,
-    SequenceGridMismatch: EXIT_SEQUENCE_MISMATCH,
-    ConfigViolation: EXIT_CONFIG_VIOLATION,
-    EmptyAssembly: EXIT_EMPTY_ASSEMBLY,
-    SchemaError: EXIT_SCHEMA,
-}
+# every other failure exits with its error type's ``exit_code`` (errors.py)
 
 
 def _load_config(args: argparse.Namespace) -> AssemblyConfig:
@@ -370,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_REJECTED
     except BlockplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _ERROR_EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -311,7 +311,8 @@ def _obj_vertex_index(token: str, n_vertices: int, lineno: int) -> int:
 
 
 def serialize_mesh(mesh: TriangleMesh, fmt: MeshFormat | str) -> bytes:
-    """Write the mesh back out. ASCII floats use repr so round-trips are exact."""
+    """Write the mesh back out. ASCII floats use repr so round-trips are exact;
+    binary STL raises ValueError for a coordinate float32 cannot hold."""
     if isinstance(fmt, str):
         fmt = MeshFormat(fmt.lower())
     if fmt is MeshFormat.STL_ASCII:
@@ -349,7 +350,10 @@ def _write_stl_binary(mesh: TriangleMesh) -> bytes:
     records = np.zeros(len(coords), dtype=_BINARY_STL_DTYPE)
     if len(coords):
         records["normal"] = _facet_normals(coords).astype(np.float32)
-        records["verts"] = coords.astype(np.float32)
+        with np.errstate(over="ignore"):  # an overflow casts to inf, refused below
+            records["verts"] = coords.astype(np.float32)
+        if not np.isfinite(records["verts"]).all():
+            raise ValueError("a vertex coordinate does not fit binary STL's float32")
     header = b"blockplan binary stl".ljust(_BINARY_STL_HEADER, b"\0")
     return header + struct.pack("<I", len(coords)) + records.tobytes()
 

@@ -69,7 +69,7 @@ def naive_sort(grid: OccupancyGrid) -> AssemblySequence:
 
 def require_coverage(seq: AssemblySequence, grid: OccupancyGrid) -> None:
     """Raise :class:`SequenceGridMismatch` unless the sequence places each
-    occupied cell exactly once."""
+    occupied cell exactly once, and :class:`EmptyAssembly` if there are none."""
     if len(seq.cells) != len(set(seq.cells)):
         raise SequenceGridMismatch("sequence repeats a cell")
     if set(seq.cells) != grid.occupied:
@@ -77,6 +77,8 @@ def require_coverage(seq: AssemblySequence, grid: OccupancyGrid) -> None:
             f"sequence covers {len(set(seq.cells))} cells, "
             f"grid has {len(grid.occupied)}"
         )
+    if not grid.occupied:
+        raise EmptyAssembly("grid has no occupied cells")
 
 
 def connectivity_sort(grid: OccupancyGrid) -> AssemblySequence:

@@ -12,23 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from blockplan.cli import (
-    EXIT_CANNOT_FIT,
-    EXIT_CLIENT_UNAVAILABLE,
-    EXIT_CONFIG_VIOLATION,
-    EXIT_EMPTY_MESH,
-    EXIT_MALFORMED_FILE,
-    EXIT_OK,
-    EXIT_REJECTED,
-    EXIT_SCHEMA,
-    EXIT_UNSEQUENCEABLE,
-    EXIT_UNSUPPORTED_FORMAT,
-    EXIT_VALIDATION_FAILED,
-    main,
-)
+from blockplan.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_VALIDATION_FAILED, main
 from blockplan.config import MAX_GRID_CELLS, AssemblyConfig
 from blockplan.discretizer import Workspace
-from blockplan.errors import SchemaError
+from blockplan.errors import (
+    BlockplanError,
+    CannotFit,
+    ClientUnavailable,
+    ConfigViolation,
+    EmptyAssembly,
+    EmptyMesh,
+    MalformedFile,
+    SchemaError,
+    SequenceGridMismatch,
+    UnsupportedFormat,
+    Unsequenceable,
+)
 from blockplan.mesh_io import MeshFormat, serialize_mesh
 from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import box_mesh, icosphere
@@ -40,6 +39,25 @@ PIPELINE_ARTIFACTS = ("grid.json", "report.json", "sequence.json", "toolpath.jso
 
 def read_artifacts(out_dir: Path, names=PIPELINE_ARTIFACTS):
     return {name: (out_dir / name).read_bytes() for name in names}
+
+
+# --- exit codes --------------------------------------------------------------
+
+
+def test_each_error_type_carries_its_documented_exit_code():
+    subclasses = BlockplanError.__subclasses__()
+    codes = {e.__name__: e.exit_code for e in subclasses}
+    assert codes == {
+        "MalformedFile": 3, "UnsupportedFormat": 4, "EmptyMesh": 5, "ClientUnavailable": 7,
+        "CannotFit": 8, "EmptyAfterModification": 9, "Unsequenceable": 10,
+        "SequenceGridMismatch": 11, "ConfigViolation": 12, "EmptyAssembly": 13,
+        "SchemaError": 15,
+    }
+    assert len(set(codes.values())) == len(codes)
+    assert BlockplanError.exit_code == 1
+    assert all("exit_code" in vars(e) for e in subclasses)  # none inherits the base's 1
+    outcomes = {EXIT_OK, EXIT_USAGE, EXIT_REJECTED, EXIT_VALIDATION_FAILED}
+    assert outcomes == {0, 2, 6, 14} and not outcomes & set(codes.values())
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -148,7 +166,7 @@ def test_pipeline_rejects_abstract_text(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["filter", "--text", ""], EXIT_REJECTED),
     (["pipeline", "--text", "   "], EXIT_REJECTED),
-    (["pipeline", "--mesh", ""], EXIT_MALFORMED_FILE),  # reads the directory "."
+    (["pipeline", "--mesh", ""], MalformedFile.exit_code),  # reads the directory "."
     (["filter", "--text", "\x01\x02"], EXIT_REJECTED),
     (["filter", "--text", "\u200b"], EXIT_REJECTED),
 ], ids=["filter-empty", "pipeline-blank", "mesh-empty", "filter-control", "filter-invisible"])
@@ -160,7 +178,7 @@ def test_blank_source_arguments_exit_with_their_codes(tmp_path, capsys, argv, co
 
 def test_pipeline_text_needs_mesh_source(tmp_path):
     code = main(["pipeline", "--text", "a chair", "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_CLIENT_UNAVAILABLE
+    assert code == ClientUnavailable.exit_code
 
 
 def test_pipeline_cannot_fit(tmp_path):
@@ -172,18 +190,18 @@ def test_pipeline_cannot_fit(tmp_path):
         "pipeline", "--mesh", str(mesh_path),
         "--set", "inventory=1", "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_CANNOT_FIT
+    assert code == CannotFit.exit_code
 
 
 TABLE_REQUEST = ["pipeline", "--text", "make me a coffee table", "--mesh-manifest"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (["pipeline", "--mesh", "{missing}"], EXIT_MALFORMED_FILE, "cannot read"),
-    (["filter", "--text", "a box", "--config", "{missing}"], EXIT_SCHEMA, "cannot load config"),
-    (["filter", "--text", "a box", "--config", "{listed}"], EXIT_SCHEMA, "must be a JSON object"),
-    ([*TABLE_REQUEST, "{missing}"], EXIT_CLIENT_UNAVAILABLE, "cannot load mesh manifest"),
-    ([*TABLE_REQUEST, "{listed}"], EXIT_CLIENT_UNAVAILABLE, "must be a JSON object"),
+    (["pipeline", "--mesh", "{missing}"], MalformedFile.exit_code, "cannot read"),
+    (["filter", "--text", "a box", "--config", "{missing}"], SchemaError.exit_code, "cannot load config"),
+    (["filter", "--text", "a box", "--config", "{listed}"], SchemaError.exit_code, "must be a JSON object"),
+    ([*TABLE_REQUEST, "{missing}"], ClientUnavailable.exit_code, "cannot load mesh manifest"),
+    ([*TABLE_REQUEST, "{listed}"], ClientUnavailable.exit_code, "must be a JSON object"),
 ], ids=["mesh", "config", "config-not-object", "manifest", "manifest-not-object"])
 def test_errors_escape_control_characters_in_paths(tmp_path, capsys, argv, code, message):
     listed = tmp_path / "c\x1b[31md.json"
@@ -238,7 +256,7 @@ def test_sequence_unbuildable_grid(tmp_path):
     grid_path = tmp_path / "grid.json"
     grid_path.write_bytes(arch.to_json())
     code = main(["sequence", "--grid", str(grid_path), "--out-dir", str(tmp_path)])
-    assert code == EXIT_UNSEQUENCEABLE
+    assert code == Unsequenceable.exit_code
 
 
 def test_toolpath_config_violation(tmp_path):
@@ -251,7 +269,7 @@ def test_toolpath_config_violation(tmp_path):
         "--sequence", str(tmp_path / "seq.json"),
         "--set", "movement_plane_z=10", "--out-dir", str(tmp_path),
     ])
-    assert code == EXIT_CONFIG_VIOLATION
+    assert code == ConfigViolation.exit_code
 
 
 def test_validate_reports_bad_sequence(tmp_path, capsys):
@@ -333,7 +351,7 @@ def test_stage_documents_take_whole_number_indices(tmp_path, where, index):
     else:
         files = _stage(tmp_path, _grid_doc(), cells)
     for command in ("toolpath", "validate"):
-        assert main([command, *files, "--out-dir", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert main([command, *files, "--out-dir", str(tmp_path / "out")]) == SchemaError.exit_code
     assert not (tmp_path / "out").exists()
 
 
@@ -341,13 +359,39 @@ def test_stage_documents_take_whole_number_indices(tmp_path, where, index):
                                   f"[2, 2, 1{'0' * 400}]"])
 def test_grid_dims_must_be_whole_numbers(tmp_path, dims):
     files = _stage(tmp_path, _grid_doc(dims=dims))
-    assert main(["sequence", *files[:2], "--out-dir", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert main(["sequence", *files[:2], "--out-dir", str(tmp_path / "out")]) == SchemaError.exit_code
 
 
 @pytest.mark.parametrize("cell_size", ["NaN", "Infinity", "1e308"])
 def test_grid_with_non_finite_geometry_is_schema_error(tmp_path, cell_size):
     files = _stage(tmp_path, _grid_doc(cell_size=cell_size))
-    assert main(["toolpath", *files, "--out-dir", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert main(["toolpath", *files, "--out-dir", str(tmp_path / "out")]) == SchemaError.exit_code
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["toolpath", "validate"])
+def test_sequence_that_misses_a_cell_is_a_mismatch(demo_mesh_files, tmp_path, capsys, command):
+    staged = tmp_path / "staged"
+    assert main(["check", "--mesh", demo_mesh_files["tee"], "--out-dir", str(staged)]) == EXIT_OK
+    assert main(["sequence", "--grid", str(staged / "grid.json"), "--out-dir", str(staged)]) == EXIT_OK
+    cells = json.loads((staged / "sequence.json").read_bytes())["cells"]
+    (tmp_path / "short.json").write_text(json.dumps({"cells": cells[:-1]}))
+    capsys.readouterr()
+    code = main([command, "--grid", str(staged / "grid.json"), "--sequence",
+                 str(tmp_path / "short.json"), "--out-dir", str(tmp_path / "out")])
+    assert code == SequenceGridMismatch.exit_code == 11
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: sequence covers {len(cells) - 1} cells, grid has {len(cells)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sequence", "toolpath", "validate"])
+def test_empty_grid_is_an_empty_assembly(tmp_path, capsys, command):
+    files = _stage(tmp_path, _grid_doc(occupied="[]"), cells="[]")
+    code = main([command, *files[: 2 if command == "sequence" else 4],
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EmptyAssembly.exit_code == 13
+    assert capsys.readouterr() == ("", "error: grid has no occupied cells\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -358,7 +402,7 @@ def test_toolpath_rejects_infinite_coordinates(tmp_path, override):
     files = _stage(tmp_path, _grid_doc())
     out = tmp_path / "out"
     code = main(["toolpath", *files, "--set", override, "--out-dir", str(out)])
-    assert code == EXIT_CONFIG_VIOLATION
+    assert code == ConfigViolation.exit_code
     assert not out.exists()
 
 
@@ -372,7 +416,7 @@ def test_toolpath_rejects_a_non_finite_estimate(tmp_path, origin, cell_size, ove
     files = _stage(tmp_path, _grid_doc(cell_size=cell_size, dims="[1, 1, 1]", origin=origin))
     out = tmp_path / "out"
     sets = [arg for item in overrides for arg in ("--set", item)]
-    assert main(["toolpath", *files, *sets, "--out-dir", str(out)]) == EXIT_CONFIG_VIOLATION
+    assert main(["toolpath", *files, *sets, "--out-dir", str(out)]) == ConfigViolation.exit_code
     assert not out.exists()
 
 
@@ -382,7 +426,7 @@ def test_pipeline_rejects_a_non_finite_estimate(demo_mesh_files, tmp_path):
         "pipeline", "--mesh", demo_mesh_files["tee"], "--set", "velocity=1e-200",
         "--set", "motion_unit_scale=1e-200", "--out-dir", str(out),
     ])
-    assert code == EXIT_CONFIG_VIOLATION
+    assert code == ConfigViolation.exit_code
     assert not out.exists()
 
 
@@ -392,7 +436,7 @@ def test_mesh_welded_to_nothing_is_empty_mesh(demo_mesh_files, tmp_path, capsys)
         "pipeline", "--mesh", demo_mesh_files["tee"],
         "--set", "mesh_unit_scale=1e-9", "--out-dir", str(out),
     ])
-    assert code == EXIT_EMPTY_MESH
+    assert code == EmptyMesh.exit_code
     assert "no triangles" in capsys.readouterr().err
     assert not out.exists()
 
@@ -403,14 +447,14 @@ def test_mesh_welded_to_nothing_is_empty_mesh(demo_mesh_files, tmp_path, capsys)
 def test_malformed_mesh_file(tmp_path):
     bad = tmp_path / "bad.stl"
     bad.write_text("solid x\nfacet\nvertex 1 2\nendfacet\nendsolid x\n")
-    assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == EXIT_MALFORMED_FILE
+    assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == MalformedFile.exit_code
 
 
 def test_non_finite_vertex_mesh_file(tmp_path):
     bad = tmp_path / "nan.obj"
     bad.write_text("v 0 0 0\nv 1 0 0\nv 0 nan 0\nf 1 2 3\n")
     code = main(["pipeline", "--mesh", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_MALFORMED_FILE
+    assert code == MalformedFile.exit_code
 
 
 def test_signalling_nan_binary_stl_is_malformed_without_a_warning(tmp_path):
@@ -420,7 +464,7 @@ def test_signalling_nan_binary_stl_is_malformed_without_a_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["pipeline", "--mesh", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_MALFORMED_FILE
+    assert code == MalformedFile.exit_code
 
 
 def test_mesh_scale_that_overflows_triangle_areas_plans_without_a_warning(
@@ -441,7 +485,7 @@ def test_overflowing_mesh_extent_is_malformed(tmp_path, span):
     big = tmp_path / "big.obj"
     big.write_text(f"v -{span} 0 0\nv {span} 1 0\nv 0 1 1\nf 1 2 3\n")
     code = main(["pipeline", "--mesh", str(big), "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_MALFORMED_FILE
+    assert code == MalformedFile.exit_code
 
 
 def test_suffixless_binary_stl_with_solid_header(tmp_path):
@@ -454,19 +498,19 @@ def test_suffixless_binary_stl_with_solid_header(tmp_path):
 def test_unrecognizable_mesh_file(tmp_path):
     bad = tmp_path / "bad.xyz"
     bad.write_bytes(b"garbage")
-    assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == EXIT_UNSUPPORTED_FORMAT
+    assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == UnsupportedFormat.exit_code
 
 
 def test_empty_mesh_file(tmp_path):
     empty = tmp_path / "empty.stl"
     empty.write_text("solid x\nendsolid x\n")
-    assert main(["voxelize", "--mesh", str(empty), "--out-dir", str(tmp_path)]) == EXIT_EMPTY_MESH
+    assert main(["voxelize", "--mesh", str(empty), "--out-dir", str(tmp_path)]) == EmptyMesh.exit_code
 
 
 def test_junk_grid_document(tmp_path):
     bad = tmp_path / "grid.json"
     bad.write_text("{\"cells\": 1}")
-    assert main(["sequence", "--grid", str(bad), "--out-dir", str(tmp_path)]) == EXIT_SCHEMA
+    assert main(["sequence", "--grid", str(bad), "--out-dir", str(tmp_path)]) == SchemaError.exit_code
 
 
 # --- configuration ----------------------------------------------------------
@@ -487,7 +531,7 @@ def test_set_rejects_unknown_key(demo_mesh_files, tmp_path):
         "check", "--mesh", demo_mesh_files["tee"],
         "--set", "warp_speed=9", "--out-dir", str(tmp_path),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
 
 
 def test_set_requires_key_value(demo_mesh_files, tmp_path):
@@ -495,7 +539,7 @@ def test_set_requires_key_value(demo_mesh_files, tmp_path):
         "check", "--mesh", demo_mesh_files["tee"],
         "--set", "inventory", "--out-dir", str(tmp_path),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
 
 
 def test_config_file_applies(demo_mesh_files, tmp_path):
@@ -513,16 +557,16 @@ def test_config_file_applies(demo_mesh_files, tmp_path):
 def test_config_file_rejects_bad_documents(tmp_path):
     not_json = tmp_path / "cfg.json"
     not_json.write_text("{nope")
-    assert main(["filter", "--text", "a box", "--config", str(not_json)]) == EXIT_SCHEMA
+    assert main(["filter", "--text", "a box", "--config", str(not_json)]) == SchemaError.exit_code
     not_object = tmp_path / "cfg2.json"
     not_object.write_text("[]")
-    assert main(["filter", "--text", "a box", "--config", str(not_object)]) == EXIT_SCHEMA
+    assert main(["filter", "--text", "a box", "--config", str(not_object)]) == SchemaError.exit_code
 
 
 def test_config_file_that_is_not_text(tmp_path):
     binary = tmp_path / "cfg.json"
     binary.write_bytes(b"\xff\xfe{}")
-    assert main(["filter", "--text", "a box", "--config", str(binary)]) == EXIT_SCHEMA
+    assert main(["filter", "--text", "a box", "--config", str(binary)]) == SchemaError.exit_code
 
 
 @pytest.mark.parametrize(
@@ -559,7 +603,7 @@ def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
         "pipeline", "--mesh", demo_mesh_files["tee"],
         "--set", override, "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
     assert not (tmp_path / "out").exists()
 
 
@@ -570,7 +614,7 @@ def test_config_file_rejects_bad_values(demo_mesh_files, tmp_path):
         "check", "--mesh", demo_mesh_files["tee"],
         "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
 
 
 # 100000 nested arrays: Python's json reader raises RecursionError on them
@@ -580,13 +624,13 @@ _DEEP = "[" * 100_000 + "]" * 100_000
 @pytest.mark.parametrize(
     "argv,expected",
     [
-        (["filter", "--text", "a box", "--config", "{deep}"], EXIT_SCHEMA),
-        (["filter", "--text", "a box", "--set", "cell_size=" + _DEEP], EXIT_SCHEMA),
-        (["sequence", "--grid", "{deep}"], EXIT_SCHEMA),
-        (["validate", "--grid", "{grid}", "--sequence", "{deep}"], EXIT_SCHEMA),
+        (["filter", "--text", "a box", "--config", "{deep}"], SchemaError.exit_code),
+        (["filter", "--text", "a box", "--set", "cell_size=" + _DEEP], SchemaError.exit_code),
+        (["sequence", "--grid", "{deep}"], SchemaError.exit_code),
+        (["validate", "--grid", "{grid}", "--sequence", "{deep}"], SchemaError.exit_code),
         (
             ["pipeline", "--text", "make me a coffee table", "--mesh-manifest", "{deep}"],
-            EXIT_CLIENT_UNAVAILABLE,
+            ClientUnavailable.exit_code,
         ),
     ],
     ids=["config", "set", "grid", "sequence", "mesh-manifest"],
@@ -611,7 +655,7 @@ def test_toolpath_rejects_bad_motion_values(tmp_path, override):
         "--sequence", str(tmp_path / "seq.json"),
         "--set", override, "--out-dir", str(out),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
     assert not out.exists()
 
 
@@ -622,7 +666,7 @@ def test_text_input_rejects_undecodable_manifest(tmp_path):
         "pipeline", "--text", "make me a coffee table",
         "--mesh-manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_CLIENT_UNAVAILABLE
+    assert code == ClientUnavailable.exit_code
 
 
 def test_text_input_rejects_non_string_manifest(tmp_path):
@@ -630,7 +674,7 @@ def test_text_input_rejects_non_string_manifest(tmp_path):
         "pipeline", "--text", "make me a coffee table",
         "--set", "mesh_manifest=5", "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
 
 
 @pytest.mark.parametrize("entry", [5, ["a"], "\u0000", "a\u0000b"],
@@ -642,7 +686,7 @@ def test_text_input_rejects_bad_manifest_entries(tmp_path, capsys, entry):
         "pipeline", "--text", "make me a coffee table",
         "--mesh-manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_CLIENT_UNAVAILABLE
+    assert code == ClientUnavailable.exit_code
     assert "\x00" not in capsys.readouterr().err  # the message quotes the file name
 
 
@@ -684,7 +728,7 @@ def test_overflowing_mesh_unit_scale_is_config_violation(demo_mesh_files, tmp_pa
         "pipeline", "--mesh", demo_mesh_files["tee"],
         "--set", "mesh_unit_scale=1e308", "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_CONFIG_VIOLATION
+    assert code == ConfigViolation.exit_code
     assert not (tmp_path / "out").exists()
 
 
@@ -696,7 +740,7 @@ def test_mesh_unit_scale_overflowing_the_extent_is_config_violation(tmp_path):
         "pipeline", "--mesh", str(box),
         "--set", "mesh_unit_scale=1e308", "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_CONFIG_VIOLATION
+    assert code == ConfigViolation.exit_code
     assert not (tmp_path / "out").exists()
 
 
@@ -714,7 +758,7 @@ def test_voxelize_rejects_too_fine_a_grid(demo_mesh_files, tmp_path, override):
         "voxelize", "--mesh", demo_mesh_files["tee"],
         "--set", override, "--out-dir", str(tmp_path / "out"),
     ])
-    assert code == EXIT_SCHEMA
+    assert code == SchemaError.exit_code
     assert not (tmp_path / "out").exists()
 
 

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 from blockplan import cli
 from blockplan.config import AssemblyConfig
+from blockplan.errors import BlockplanError
 from blockplan.sequencer import connectivity_sort
 from tests.conftest import make_grid
 
-DOCUMENTED_CODES = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+DOCUMENTED_CODES = {value for name, value in vars(cli).items() if name.startswith("EXIT_")} | {
+    e.exit_code for e in BlockplanError.__subclasses__()
+}
 KEYS = [f.name for f in dataclasses.fields(AssemblyConfig)] + ["client_timeout_s", "nope", ""]
 
 _numbers = st.one_of(st.floats(), st.integers(), st.floats(-1.0, 100.0), st.integers(-1, 50))

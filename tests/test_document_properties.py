@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockplan import cli
+from blockplan.errors import BlockplanError
 
-DOCUMENTED_CODES = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+DOCUMENTED_CODES = {value for name, value in vars(cli).items() if name.startswith("EXIT_")} | {
+    e.exit_code for e in BlockplanError.__subclasses__()
+}
 
 _odd_numbers = st.one_of(
     st.floats(),

@@ -5,12 +5,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from blockplan import discretizer, feasibility
 from blockplan.config import AssemblyConfig
 from blockplan.discretizer import build_grid, voxelize
-from blockplan.errors import CannotFit, EmptyAssembly
+from blockplan.errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from blockplan.feasibility import (
     CheckKind,
     CheckStatus,
@@ -328,6 +329,16 @@ def test_orchestrator_reports_raw_statuses_without_handling(demo_meshes, config)
         assert raw.modifications == ()
         assert raw.final_component_count == len(raw_grid.occupied)
         assert len(handled_grid.occupied) <= len(raw_grid.occupied)
+
+
+def test_orchestrator_raises_when_handling_removes_every_cell(config):
+    # an unused vertex at the origin puts the grid's ground layer below the
+    # box, which floats and goes as overhang; the CLI cannot send this mesh,
+    # as repair drops unused vertices
+    box = box_mesh((0, 0, 20), (10, 10, 30))
+    mesh = box.with_vertices(np.vstack([box.vertices, [(0.0, 0.0, 0.0)]]))
+    with pytest.raises(EmptyAfterModification, match="removed every cell"):
+        run_feasibility(mesh, config)
 
 
 def test_orchestrator_removals_are_subsets(demo_meshes, config):

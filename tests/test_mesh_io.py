@@ -183,6 +183,21 @@ def test_binary_stl_round_trip_is_float32_exact():
     np.testing.assert_array_equal(back.triangle_coords(), expected)
 
 
+def test_binary_stl_refuses_coordinates_beyond_float32():
+    tee = tee_mesh()
+    huge = tee.with_vertices(tee.vertices * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float32"):
+            serialize_mesh(huge, MeshFormat.STL_BINARY)
+        large = tee.with_vertices(tee.vertices * 1e30)
+        assert parse_mesh(serialize_mesh(large, MeshFormat.STL_BINARY)).triangle_count == 24
+        # the text writers hold any float64 and round-trip it exactly
+        for fmt in (MeshFormat.STL_ASCII, MeshFormat.OBJ):
+            back = parse_mesh(serialize_mesh(huge, fmt))
+            np.testing.assert_array_equal(back.triangle_coords(), huge.triangle_coords())
+
+
 def test_obj_round_trip_preserves_topology():
     mesh = box_mesh((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
     back = parse_mesh(serialize_mesh(mesh, "obj"))
