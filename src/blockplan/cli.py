@@ -110,6 +110,8 @@ def _fitted_mesh(
             )
         mesh = acquire_mesh(request, MockMeshGenerator.from_file(manifest))
         provenance = f'phrase "{request.extracted_phrase}" from text input'
+    if not mesh.triangle_count:
+        raise EmptyMesh("mesh has no triangles")
     if cfg.mesh_unit_scale != 1.0:
         with np.errstate(over="ignore", invalid="ignore"):
             mesh = mesh.with_vertices(mesh.vertices * cfg.mesh_unit_scale)

@@ -6,6 +6,7 @@ step that welds vertices, drops junk triangles and unifies windings.
 """
 from __future__ import annotations
 
+import re
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -29,6 +30,14 @@ _WELD_OFFSETS = tuple(
     for dy in ((0, 1) if dx == 0 else (-1, 0, 1))
     for dz in ((0, 1) if dx == dy == 0 else (-1, 0, 1))
 )
+
+# str.splitlines breaks, "\r\n" first so that it stays one break
+_LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# The rest of each line whose first token is "vertex" in any case, or "v" or "f". Matches
+# start at the "\n" before the line, found faster than a MULTILINE "^" would be.
+_STL_VERTEX = re.compile(r"\n[^\S\n]*vertex(?!\S)(.*)", re.I)
+_OBJ_RECORD = re.compile(r"\n[^\S\n]*([vf])(?!\S)(.*)")
+_NO_INDEX = (1 << 63) - 1  # an OBJ face token that is not an integer; out of range
 
 _BINARY_STL_HEADER = 80
 _BINARY_STL_RECORD = 50
@@ -218,24 +227,13 @@ def _looks_like_obj(data: bytes) -> bool:
 
 
 def _parse_stl_ascii(data: bytes) -> TriangleMesh:
-    try:
-        text = data.decode("utf-8", errors="replace")
-    except Exception as exc:  # pragma: no cover - decode with replace cannot raise
-        raise MalformedFile("undecodable ASCII STL") from exc
-    coords: list[tuple[float, float, float]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        parts = line.split()
-        if not parts or parts[0].lower() != "vertex":
-            continue
-        if len(parts) < 4:
-            raise MalformedFile(f"line {lineno}: vertex needs 3 coordinates")
-        try:
-            coords.append((float(parts[1]), float(parts[2]), float(parts[3])))
-        except ValueError as exc:
-            raise MalformedFile(f"line {lineno}: non-numeric vertex coordinate") from exc
-    if len(coords) % 3 != 0:
+    text = _text_lines(data.decode("utf-8", errors="replace"))
+    verts, bad = _coordinates(_STL_VERTEX.findall(text))
+    if bad:
+        what = "vertex needs 3 coordinates" if bad[1] else "non-numeric vertex coordinate"
+        raise _malformed(_STL_VERTEX, text, bad[0], what)
+    if len(verts) % 3 != 0:
         raise MalformedFile("vertex count is not a multiple of 3")
-    verts = np.array(coords, dtype=np.float64).reshape(-1, 3)
     tris = np.arange(len(verts), dtype=np.int64).reshape(-1, 3)
     return TriangleMesh(verts, tris, MeshFormat.STL_ASCII)
 
@@ -261,50 +259,72 @@ def _parse_stl_binary(data: bytes) -> TriangleMesh:
 
 def _parse_obj(data: bytes) -> TriangleMesh:
     try:
-        text = data.decode("utf-8")
+        text = _text_lines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise MalformedFile("OBJ is not valid UTF-8") from exc
-    verts: list[tuple[float, float, float]] = []
-    tris: list[tuple[int, int, int]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MalformedFile(f"line {lineno}: v needs 3 coordinates")
-            try:
-                verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
-            except ValueError as exc:
-                raise MalformedFile(f"line {lineno}: non-numeric coordinate") from exc
-        elif parts[0] == "f":
-            if len(parts) < 4:
-                raise MalformedFile(f"line {lineno}: face needs at least 3 vertices")
-            idx = [_obj_vertex_index(tok, len(verts), lineno) for tok in parts[1:]]
-            # polygons become a fan anchored at the first vertex
-            for a, b in zip(idx[1:], idx[2:]):
-                tris.append((idx[0], a, b))
-        # vn / vt / o / g / s / usemtl and friends are ignored
-    tri_arr = np.array(tris, dtype=np.int64).reshape(-1, 3)
-    vert_arr = np.array(verts, dtype=np.float64).reshape(-1, 3)
-    if tri_arr.size and tri_arr.max() >= len(vert_arr):
-        raise MalformedFile("face references a vertex that does not exist")
-    return TriangleMesh(vert_arr, tri_arr, MeshFormat.OBJ)
+    records = _OBJ_RECORD.findall(text)  # vn / vt / o / g / s / usemtl and friends are ignored
+    is_face = np.array([kind == "f" for kind, _ in records], dtype=bool)
+    verts, bad = _coordinates([body for kind, body in records if kind == "v"])
+    bad_v = np.flatnonzero(~is_face)[bad[0]] if bad else len(records)  # the first bad v line
+    faces = [body for kind, body in records if kind == "f"]
+    sizes = np.fromiter(map(len, map(str.split, faces)), np.int64, len(faces))
+    tokens = " ".join(faces).split()
+    heads = dict.fromkeys(tokens, _NO_INDEX)  # each distinct token's 1-based index
+    for token in heads:
+        try:  # clamped below _NO_INDEX; an index beyond 2**62 is out of range all the same
+            heads[token] = max(-1 << 62, min(int(token.split("/", 1)[0]), 1 << 62))
+        except ValueError:
+            pass
+    raw = np.fromiter(map(heads.__getitem__, tokens), np.int64, len(tokens))
+    defined = np.repeat(np.cumsum(~is_face)[is_face], sizes)  # vertices before each token's line
+    idx = np.where(raw > 0, raw - 1, defined + raw)
+    bad_token = (raw == 0) | (idx < 0) | (idx >= defined)
+    bad_face = sizes < 3
+    bad_face[np.repeat(np.arange(len(faces)), sizes)[bad_token]] = True
+    if bad_face.any() and np.flatnonzero(is_face)[face := int(bad_face.argmax())] < bad_v:
+        token = tokens[bad_token.argmax()] if sizes[face] > 2 else ""  # no earlier face has one
+        what = ("face needs at least 3 vertices" if not token
+                else f"bad face index {token!r}" if heads[token] == _NO_INDEX
+                else f"face index {int(token.split('/', 1)[0])} out of range" if heads[token]
+                else "OBJ indices are 1-based, got 0")
+        raise _malformed(_OBJ_RECORD, text, np.flatnonzero(is_face)[face], what)
+    if bad:
+        what = "v needs 3 coordinates" if bad[1] else "non-numeric coordinate"
+        raise _malformed(_OBJ_RECORD, text, bad_v, what)
+    fans = sizes - 2  # polygons become a fan anchored at the first vertex
+    first = np.repeat(np.cumsum(sizes) - sizes, fans)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    tris = np.stack([idx[first], idx[second], idx[second + 1]], axis=1)
+    return TriangleMesh(verts, tris, MeshFormat.OBJ)
 
 
-def _obj_vertex_index(token: str, n_vertices: int, lineno: int) -> int:
-    head = token.split("/", 1)[0]
-    try:
-        raw = int(head)
-    except ValueError as exc:
-        raise MalformedFile(f"line {lineno}: bad face index {token!r}") from exc
-    if raw == 0:
-        raise MalformedFile(f"line {lineno}: OBJ indices are 1-based, got 0")
-    idx = raw - 1 if raw > 0 else n_vertices + raw
-    if idx < 0 or idx >= n_vertices:
-        raise MalformedFile(f"line {lineno}: face index {raw} out of range")
-    return idx
+def _text_lines(text: str) -> str:
+    """``text`` with each ``str.splitlines`` break made one "\\n", and one more in front."""
+    for brk in _LINE_BREAKS:
+        text = text.replace(brk, "\n")
+    return "\n" + text
+
+
+def _malformed(pattern: re.Pattern, text: str, k: int, what: str) -> MalformedFile:
+    """The error ``what`` on the line of the k-th match of ``pattern`` in ``text``."""
+    line = text.count("\n", 0, [match.start() for match in pattern.finditer(text)][k]) + 1
+    return MalformedFile(f"line {line}: {what}")
+
+
+def _coordinates(bodies: list[str]) -> tuple[np.ndarray | None, tuple[int, bool] | None]:
+    """Each body's first three tokens as floats, converting each distinct body once; or the
+    first position of a body with fewer tokens or a non-number, and whether it was short."""
+    rows = dict.fromkeys(bodies)
+    coords = []
+    for body in rows:
+        parts = body.split()
+        try:
+            coords.append((float(parts[0]), float(parts[1]), float(parts[2])))
+        except (IndexError, ValueError):
+            return None, (bodies.index(body), len(parts) < 3)
+        rows[body] = len(coords) - 1
+    gather = np.fromiter(map(rows.__getitem__, bodies), np.int64, len(bodies))
+    return np.array(coords, dtype=np.float64).reshape(-1, 3)[gather], None
 
 
 # --- serialization ---------------------------------------------------------

@@ -1,16 +1,17 @@
 """Slow reference implementations of the mesh front end, the feasibility
 rules, the connectivity-aware sort and the build simulation.
 
-These are the original per-vertex, per-triangle and per-cell loops of
-``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer overhang
-search, run-list stack rule, full-voxelize rescale loop and rewrite
+These are the original per-line, per-vertex, per-triangle and per-cell
+loops of ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer
+overhang search, run-list stack rule, full-voxelize rescale loop and rewrite
 orchestration of ``blockplan.feasibility``, the all-pairs distance sort of
 ``blockplan.sequencer``, the column-scan replay of ``blockplan.validator``,
 and the ``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``.
 The randomized equivalence tests require the current implementations to
-reproduce them exactly: same vertices, triangles, repair summary, occupied
-cells, check details, rewritten and rescaled grids, placement orders,
-errors, simulation reports and toolpath bytes. The voxelizer has two
+reproduce them exactly: same parsed meshes and parse errors, repaired
+vertices, triangles and repair summary, occupied cells, check details,
+rewritten and rescaled grids, placement orders, errors, simulation reports
+and toolpath bytes. The voxelizer has two
 interior tests here: the even-odd parity ray it used on closed meshes, and
 a per-cell generalized winding number that holds on every mesh.
 The weld oracle needs scipy, which is a test-only dependency.
@@ -24,10 +25,17 @@ from collections import defaultdict, deque
 import numpy as np
 from scipy.spatial import cKDTree
 
-from blockplan import discretizer
+from blockplan import discretizer, mesh_io
 from blockplan.discretizer import SAT_EPSILON, Cell, GridSpec, OccupancyGrid, build_grid
 from blockplan.config import AssemblyConfig
-from blockplan.errors import CannotFit, EmptyAfterModification, EmptyAssembly, Unsequenceable
+from blockplan.errors import (
+    BlockplanError,
+    CannotFit,
+    EmptyAfterModification,
+    EmptyAssembly,
+    MalformedFile,
+    Unsequenceable,
+)
 from blockplan.feasibility import (
     CheckKind,
     CheckResult,
@@ -38,14 +46,110 @@ from blockplan.feasibility import (
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     DEGENERATE_AREA,
+    MeshFormat,
     RepairSummary,
     TriangleMesh,
     bounding_box,
+    finite_extent,
     is_manifold,
 )
 from blockplan.sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
 from blockplan.toolpath import CommandOp, Toolpath
 from blockplan.validator import PlacementStep, SimulationReport
+
+# --- parsing -------------------------------------------------------------------
+
+
+def parse_mesh(data: bytes, format_hint: MeshFormat | str | None = None) -> TriangleMesh:
+    """``mesh_io.parse_mesh`` with the line-loop ASCII STL and OBJ parsers."""
+    if not data:
+        raise MalformedFile("empty input")
+    fmt = mesh_io._resolve_format(data, format_hint)
+    if fmt is MeshFormat.STL_BINARY:
+        return mesh_io.parse_mesh(data, fmt)
+    mesh = parse_stl_ascii(data) if fmt is MeshFormat.STL_ASCII else parse_obj(data)
+    if not finite_extent(mesh.vertices):
+        raise MalformedFile("vertex coordinates and their extent must be finite")
+    return mesh
+
+
+def parse_outcome(parse, data: bytes, hint) -> tuple:
+    """What ``parse(data, hint)`` gives, as comparable data: the mesh's vertex
+    bytes, triangles and format, or the error's type and message."""
+    try:
+        mesh = parse(data, hint)
+    except BlockplanError as exc:
+        return type(exc), str(exc)
+    return mesh.vertices.tobytes(), mesh.triangles.tolist(), mesh.format_origin
+
+
+def parse_stl_ascii(data: bytes) -> TriangleMesh:
+    text = data.decode("utf-8", errors="replace")
+    coords: list[tuple[float, float, float]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts or parts[0].lower() != "vertex":
+            continue
+        if len(parts) < 4:
+            raise MalformedFile(f"line {lineno}: vertex needs 3 coordinates")
+        try:
+            coords.append((float(parts[1]), float(parts[2]), float(parts[3])))
+        except ValueError as exc:
+            raise MalformedFile(f"line {lineno}: non-numeric vertex coordinate") from exc
+    if len(coords) % 3 != 0:
+        raise MalformedFile("vertex count is not a multiple of 3")
+    verts = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    tris = np.arange(len(verts), dtype=np.int64).reshape(-1, 3)
+    return TriangleMesh(verts, tris, MeshFormat.STL_ASCII)
+
+
+def parse_obj(data: bytes) -> TriangleMesh:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile("OBJ is not valid UTF-8") from exc
+    verts: list[tuple[float, float, float]] = []
+    tris: list[tuple[int, int, int]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MalformedFile(f"line {lineno}: v needs 3 coordinates")
+            try:
+                verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            except ValueError as exc:
+                raise MalformedFile(f"line {lineno}: non-numeric coordinate") from exc
+        elif parts[0] == "f":
+            if len(parts) < 4:
+                raise MalformedFile(f"line {lineno}: face needs at least 3 vertices")
+            idx = [obj_vertex_index(tok, len(verts), lineno) for tok in parts[1:]]
+            # polygons become a fan anchored at the first vertex
+            for a, b in zip(idx[1:], idx[2:]):
+                tris.append((idx[0], a, b))
+        # vn / vt / o / g / s / usemtl and friends are ignored
+    tri_arr = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    vert_arr = np.array(verts, dtype=np.float64).reshape(-1, 3)
+    if tri_arr.size and tri_arr.max() >= len(vert_arr):
+        raise MalformedFile("face references a vertex that does not exist")
+    return TriangleMesh(vert_arr, tri_arr, MeshFormat.OBJ)
+
+
+def obj_vertex_index(token: str, n_vertices: int, lineno: int) -> int:
+    head = token.split("/", 1)[0]
+    try:
+        raw = int(head)
+    except ValueError as exc:
+        raise MalformedFile(f"line {lineno}: bad face index {token!r}") from exc
+    if raw == 0:
+        raise MalformedFile(f"line {lineno}: OBJ indices are 1-based, got 0")
+    idx = raw - 1 if raw > 0 else n_vertices + raw
+    if idx < 0 or idx >= n_vertices:
+        raise MalformedFile(f"line {lineno}: face index {raw} out of range")
+    return idx
+
 
 # --- repair ------------------------------------------------------------------
 

@@ -437,7 +437,23 @@ def test_mesh_welded_to_nothing_is_empty_mesh(demo_mesh_files, tmp_path, capsys)
         "--set", "mesh_unit_scale=1e-9", "--out-dir", str(out),
     ])
     assert code == EmptyMesh.exit_code
-    assert "no triangles" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no triangles" in err
+    assert err == "error: repair left no triangles (weld_tolerance 0.0001)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("facet.stl", "solid x\nfacet\nendsolid\n"), ("points.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n")],
+    ids=["stl-facet-without-vertices", "obj-vertices-without-faces"],
+)
+def test_mesh_file_without_triangles_is_empty_before_repair(tmp_path, capsys, name, content):
+    mesh = tmp_path / name
+    mesh.write_text(content)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--mesh", str(mesh), "--out-dir", str(out)]) == EmptyMesh.exit_code
+    assert capsys.readouterr().err == "error: mesh has no triangles\n"
     assert not out.exists()
 
 

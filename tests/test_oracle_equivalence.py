@@ -1,5 +1,5 @@
-"""The numpy weld, winding and voxelization, the feasibility rules and the
-connectivity-aware sort against the slow oracles.
+"""The regex text parsers, the numpy weld, winding and voxelization, the
+feasibility rules and the connectivity-aware sort against the slow oracles.
 
 Every case compares exactly: repaired vertices and triangles, the repair
 summary, and the occupied cells of the fitted mesh. Cases are seeded and
@@ -17,7 +17,11 @@ placement orders hold the build simulation to the old column scan.
 ``run_feasibility`` writes the grid and report bytes (or the error) of the
 orchestration it replaced, on the demos and on cell designs with riders on
 tall columns, over overhang limits 0-3, stack limits 1-4 and both
-failure-handling settings.
+failure-handling settings. ``parse_mesh`` gives the line-loop parsers' mesh
+or error, line number included, on seeded ASCII STL and OBJ files: every
+``str.splitlines`` break and ``str.split`` gap, keyword case and position,
+polygons, negative, slashed and forward indices, Python-only number forms,
+invalid UTF-8, and the dense_mesh spheres.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from blockplan.discretizer import (
     fit_to_workspace,
     voxelize,
 )
-from blockplan.errors import BlockplanError, CannotFit
+from blockplan.errors import BlockplanError, CannotFit, MalformedFile
 from blockplan.feasibility import (
     check_overhang,
     check_sequence_connectivity,
@@ -49,10 +53,13 @@ from blockplan.feasibility import (
 )
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
+    MeshFormat,
     TriangleMesh,
     bounding_box,
     is_manifold,
+    parse_mesh,
     repair_mesh,
+    serialize_mesh,
 )
 from blockplan.sequencer import (
     AssemblySequence,
@@ -546,3 +553,117 @@ def test_simulation_matches_column_scan_oracle():
                 passes += report.ok
                 failures += not report.ok
     assert passes >= 100 and failures >= 100
+
+
+# --- parsing -------------------------------------------------------------------
+
+_SMALL = combine_meshes([box_mesh((0, 0, 0), (2, 1, 1)), box_mesh((0, 0, 1), (1, 1, 3))])
+_STL = serialize_mesh(_SMALL, MeshFormat.STL_ASCII)
+_OBJ = serialize_mesh(_SMALL, MeshFormat.OBJ)
+_TRIANGLE_OBJ = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nv 0 0 1\n"
+
+
+def dense_sphere_files() -> dict[str, bytes]:
+    """Moved icospheres of 320, 1280 and 5120 triangles as OBJ and ASCII STL,
+    like the benchmark's dense_mesh inputs: long coordinate reprs, and each
+    ASCII STL vertex repeated on about six lines."""
+    rng = np.random.default_rng(11)
+    files = {}
+    for subdivisions in (2, 3, 4):
+        sphere = icosphere(15.0, subdivisions=subdivisions)
+        mesh = TriangleMesh(
+            sphere.vertices + rng.uniform(-40.0, 40.0, 3),
+            sphere.triangles[rng.permutation(sphere.triangle_count)],
+        )
+        for fmt in (MeshFormat.OBJ, MeshFormat.STL_ASCII):
+            files[f"s{mesh.triangle_count}-{fmt.value}"] = serialize_mesh(mesh, fmt)
+    return files
+
+
+PARSE_CASES = {
+    **{
+        f"{kind}-break-{brk.encode().hex()}": seed.replace(b"\n", brk.encode())
+        for brk in ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+        for kind, seed in (("stl", _STL), ("obj", _OBJ))
+    },
+    **{
+        f"{kind}-space-{gap.encode().hex()}": seed.replace(b" ", gap.encode())
+        for gap in ("\t", "\x1f", "\xa0")
+        for kind, seed in (("stl", _STL), ("obj", _OBJ))
+    },
+    "mixed-breaks": b"solid x\r\nfacet\r\rvertex 0 0 0\x0bvertex 1 0 0\xe2\x80\xa8vertex 0 1 0\xc2\x85endsolid\n",
+    "vertex-case": _STL.replace(b"vertex", b"VERTEX", 5).replace(b"vertex", b"Vertex", 5),
+    "vertex-extra-tokens": _STL.replace(b"vertex 0.0", b"vertex 0.0 1.0 2.0 3.0 junk"),
+    "vertex-not-first": _STL.replace(b"vertex", b"x vertex", 1),
+    "vertex-glued": _STL.replace(b"vertex", b"vertex1", 1),
+    "stl-numbers": _STL.replace(b"1.0", b"1_0", 2).replace(b"0.0", b"+1", 2),
+    "stl-infinity": _STL.replace(b"3.0", b"infinity", 1),
+    "stl-invalid-utf8": _STL.replace(b"facet", b"fa\xffcet\xc3", 3),
+    "stl-invalid-utf8-in-number": _STL.replace(b"2.0", b"2.\xff0", 1),
+    "stl-short-vertex": _STL.replace(b"vertex 0.0 0.0 0.0", b"vertex 0.0 0.0", 1),
+    "stl-bad-then-short": _STL.replace(b"vertex 0.0 0.0 0.0", b"vertex a 0.0 0.0", 1).replace(
+        b"vertex 1.0", b"vertex", 1
+    ),
+    "stl-count": _STL.replace(b"vertex", b"vertex 0 0 0\nvertex", 1),
+    "obj-quads": _TRIANGLE_OBJ + b"f 1 2 4 3\nf 1 2 5\n",
+    "obj-ngon": _TRIANGLE_OBJ + b"f 1 2 4 3 5\n# comment\nf 5 4 3 2 1\n",
+    "obj-negative": _TRIANGLE_OBJ + b"f -1 -2 -3\nf -5 1 -4\n",
+    "obj-slashed": _TRIANGLE_OBJ + b"f 1/1/1 2//2 3/3 4/\n",
+    "obj-forward": b"v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n",
+    "obj-negative-past-start": _TRIANGLE_OBJ + b"f -6 1 2\n",
+    "obj-interleaved-negative": b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 1 1 0\nf -3 -2 -1\n",
+    "obj-zero": _TRIANGLE_OBJ + b"f 1 0 2\n",
+    "obj-bad-token": _TRIANGLE_OBJ + b"f 1 x 2\n",
+    "obj-empty-head": _TRIANGLE_OBJ + b"f /1 2 3\n",
+    "obj-huge-index": _TRIANGLE_OBJ + b"f 1 2 " + b"9" * 30 + b"\n",
+    "obj-huge-negative": _TRIANGLE_OBJ + b"f 1 2 -" + b"9" * 30 + b"\n",
+    "obj-short-face-with-zero": _TRIANGLE_OBJ + b"f 0 1\n",
+    "obj-lone-f": _TRIANGLE_OBJ + b"f\n",
+    "obj-numbers": b"v 1_0 +1 0\nv 0 0 0\nv 0 1 0\nf 1 2 3\n",
+    "obj-infinity": b"v 0 0 infinity\nv 0 0 0\nv 0 1 0\nf 1 2 3\n",
+    "obj-nan": b"v nan 0 0\nv 0 0 0\nv 0 1 0\nf 1 2 3\n",
+    "obj-extra-coordinates": b"v 0 0 0 1\nv 1 0 0 1 0.5 0.5\nv 0 1 0\nf 1 2 3\n",
+    "obj-keyword-lookalikes": _TRIANGLE_OBJ + b"vn 0 0 1\nvt 0 0\nfo 1 2 3\nV 1 1 1\nF 1 2 3\nf 1 2 3\n",
+    "obj-indented": b"  v 0 0 0\n\tv 1 0 0\n\x0cv 0 1 0\n  f 1 2 3\n",
+    "obj-bad-f-before-bad-v": _TRIANGLE_OBJ + b"f 1 2 9\nv 1 2\nf 1 2 3\n",
+    "obj-bad-v-before-bad-f": b"v 0 0 0\nv 1 a 0\nv 0 1 0\nf 1 2 9\n",
+    "obj-short-v": b"v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "obj-invalid-utf8": _OBJ.replace(b"mesh", b"m\xffesh"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_parser_matches_line_loop_oracle(name):
+    data = PARSE_CASES[name]
+    for hint in (None, "stl", "obj", *MeshFormat):
+        assert oracles.parse_outcome(parse_mesh, data, hint) == oracles.parse_outcome(
+            oracles.parse_mesh, data, hint
+        )
+
+
+@pytest.mark.parametrize("name", sorted(dense_sphere_files()))
+def test_parser_matches_line_loop_oracle_on_dense_spheres(name):
+    data = dense_sphere_files()[name]
+    hint = "obj" if name.endswith("obj") else "stl"
+    ours = oracles.parse_outcome(parse_mesh, data, hint)
+    assert len(ours) == 3  # a mesh, not an error
+    assert ours == oracles.parse_outcome(oracles.parse_mesh, data, hint)
+
+
+FIRST_BAD_LINE = {
+    "obj-bad-f-before-bad-v": "line 6: face index 9 out of range",
+    "obj-bad-v-before-bad-f": "line 2: non-numeric coordinate",
+    "obj-forward": "line 3: face index 3 out of range",
+    "obj-huge-index": "line 6: face index " + "9" * 30 + " out of range",
+    "obj-short-face-with-zero": "line 6: face needs at least 3 vertices",
+    "obj-empty-head": "line 6: bad face index '/1'",
+    "stl-bad-then-short": "line 4: non-numeric vertex coordinate",
+    "stl-count": "vertex count is not a multiple of 3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_BAD_LINE))
+def test_parser_errors_name_the_first_bad_line(name):
+    with pytest.raises(MalformedFile) as caught:
+        parse_mesh(PARSE_CASES[name], "obj" if name.startswith("obj") else "stl")
+    assert str(caught.value) == FIRST_BAD_LINE[name]

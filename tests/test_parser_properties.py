@@ -1,7 +1,8 @@
 """Property tests: untrusted bytes end in the documented errors.
 
 ``parse_mesh`` gets arbitrary bytes and mutated STL and OBJ files under
-every format hint and may raise only ``BlockplanError``. The grid, sequence
+every format hint and may raise only ``BlockplanError``; on the mutated
+files it also gives the line-loop oracle's mesh or error. The grid, sequence
 and toolpath readers get arbitrary JSON (deep nesting included) and may
 raise only ``SchemaError``. The runs are derandomized, so the examples are
 the same on every run.
@@ -21,6 +22,7 @@ from blockplan.mesh_io import MeshFormat, parse_mesh, serialize_mesh
 from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import box_mesh, combine_meshes
 from blockplan.toolpath import parse_toolpath
+from tests import oracles
 
 HINTS = [None, "stl", "obj", "ply", *MeshFormat]
 
@@ -32,6 +34,7 @@ _TOKENS = st.sampled_from([
     b" nan", b" inf", b" -1e999", b" 1e308", b" 1_0", b" 0x10", b" ", b"\n", b"\r\n",
     b"\nv 1 2\n", b"\nf 1 2 99\n", b"\nf 0 1 2\n", b"\nf -9 1 2\n", b"\nf 1/2/3 a 2\n",
     b"\nvertex 1 2\n", b"\nvertex a b c\n", b"solid x\nfacet", b"endfacet", b"\xff\xfe",
+    b"\r", b"\x0b", b"\x1c", b"\x1f", b"\xc2\x85", b"\xe2\x80\xa8", b"\tVERTEX", b"\nf 1 2 3 4\n",
 ])
 
 
@@ -74,7 +77,11 @@ def test_parse_mesh_on_arbitrary_bytes(data):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=mutated_meshes())
 def test_parse_mesh_on_mutated_files(data):
-    _parses_or_raises_blockplan_error(data)
+    # parse_outcome lets any error but a BlockplanError through
+    for hint in HINTS:
+        assert oracles.parse_outcome(parse_mesh, data, hint) == oracles.parse_outcome(
+            oracles.parse_mesh, data, hint
+        )
 
 
 # --- stage documents ----------------------------------------------------------
