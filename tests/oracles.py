@@ -67,6 +67,7 @@ def parse_mesh(data: bytes, format_hint: MeshFormat | str | None = None) -> Tria
     fmt = mesh_io._resolve_format(data, format_hint)
     if fmt is MeshFormat.STL_BINARY:
         return mesh_io.parse_mesh(data, fmt)
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a text mesh may open with a byte order mark
     mesh = parse_stl_ascii(data) if fmt is MeshFormat.STL_ASCII else parse_obj(data)
     if not finite_extent(mesh.vertices):
         raise MalformedFile("vertex coordinates and their extent must be finite")

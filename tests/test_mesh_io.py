@@ -163,6 +163,77 @@ def test_sniffing_prefers_exact_binary_length_over_solid_header():
     np.testing.assert_array_equal(sniffed.triangles, hinted.triangles)
 
 
+BOM = b"\xef\xbb\xbf"
+TETRA_OBJ = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n"
+
+
+@pytest.mark.parametrize("hint", [None, "obj", MeshFormat.OBJ])
+def test_byte_order_mark_keeps_the_first_obj_vertex(hint):
+    mesh = parse_mesh(BOM + TETRA_OBJ, hint)
+    assert mesh.format_origin is MeshFormat.OBJ
+    np.testing.assert_array_equal(mesh.vertices, parse_mesh(TETRA_OBJ, "obj").vertices)
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 1, 3]]
+
+
+@pytest.mark.parametrize("hint", [None, "stl", MeshFormat.STL_ASCII])
+def test_byte_order_mark_before_ascii_stl(hint):
+    mesh = parse_mesh(BOM + ONE_TRIANGLE_ASCII, hint)
+    assert mesh.format_origin is MeshFormat.STL_ASCII
+    np.testing.assert_array_equal(mesh.vertices, parse_mesh(ONE_TRIANGLE_ASCII).vertices)
+
+
+@pytest.mark.parametrize("hint", ["stl", MeshFormat.STL_ASCII])
+def test_byte_order_mark_keeps_a_first_line_stl_vertex(hint):
+    data = b"vertex 2 2 2\nvertex 3 2 2\nvertex 2 3 2\n"  # no solid line to sniff
+    mesh = parse_mesh(BOM + data, hint)
+    np.testing.assert_array_equal(mesh.vertices, [[2, 2, 2], [3, 2, 2], [2, 3, 2]])
+
+
+def test_byte_order_mark_stays_in_a_binary_stl_header():
+    coords = box_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)).triangle_coords()
+    data = (BOM + b"box").ljust(80) + _binary_stl(coords)[80:]
+    for hint in (None, "stl", MeshFormat.STL_BINARY):
+        mesh = parse_mesh(data, hint)
+        assert mesh.format_origin is MeshFormat.STL_BINARY
+        np.testing.assert_array_equal(mesh.triangle_coords(), coords)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"# " + b"x" * 5000 + b"\n", b"#" + b"x" * 4094 + "é".encode() + b"\n", b"\n" * 5000],
+    ids=["long-comment", "split-character", "blank-lines"],
+)
+def test_obj_is_recognized_after_the_first_4096_bytes(header):
+    sniffed = parse_mesh(header + TETRA_OBJ)
+    assert sniffed.format_origin is MeshFormat.OBJ
+    np.testing.assert_array_equal(sniffed.vertices, parse_mesh(TETRA_OBJ, "obj").vertices)
+    assert sniffed.triangles.tolist() == [[0, 1, 2], [0, 1, 3]]
+
+
+def test_ascii_stl_is_recognized_after_a_long_solid_line():
+    data = ONE_TRIANGLE_ASCII.replace(b"solid demo", b"solid " + b"x" * 5000, 1)
+    assert parse_mesh(data).format_origin is MeshFormat.STL_ASCII
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"# v 0 0 0\n  # f 1 2 3\n\n# v",  # comments only, the last without a break
+        b"v\xff 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",  # not UTF-8 on the deciding line
+        b"x\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",  # the deciding line is not OBJ
+        BOM + BOM + TETRA_OBJ,  # only one byte order mark is dropped
+    ],
+)
+def test_obj_sniff_decides_on_the_first_line_that_is_not_blank_or_a_comment(data):
+    with pytest.raises(UnsupportedFormat):
+        parse_mesh(data)
+
+
+def test_bytes_that_are_not_utf8_before_the_deciding_line_reach_the_obj_parser():
+    with pytest.raises(MalformedFile, match="OBJ is not valid UTF-8"):
+        parse_mesh(b"# \xff\n" + TETRA_OBJ)
+
+
 # --- serialization round-trips ----------------------------------------------
 
 

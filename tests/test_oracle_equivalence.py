@@ -7,13 +7,18 @@ cover cell designs, jittered and duplicated triangle soups, open spheres
 and randomly flipped Moebius strips at several cell sizes, plus the four
 demo meshes and icospheres. Every grid matches the per-cell winding-number
 oracle; the closed ones (cell designs, demos, icospheres) also match the
-parity-ray oracle. Seeded sub-cell triangles on cell faces, edges and
-corners hold the one-cell surface shortcut to the per-pair SAT oracle, and
-the rescale loop that skips the interior on steps that cannot fit matches
-the loop that voxelizes every step in full, errors included. Random
-occupancy grids hold the overhang and stack checks, both rewrites and the
-placement order (or its error) to the old per-layer searches, and random
-placement orders hold the build simulation to the old column scan.
+parity-ray oracle. The weld, which folds exact copies before its neighbour
+search, matches the k-d tree weld on copies around another position in one
+weld cell, signed zeros, near-copies chained across cells, a single
+position and a derandomized property over repeated and jittered vertices,
+at tolerances of 1e-12, 1e-4 and 1e-3. Seeded sub-cell triangles on cell
+faces, edges and corners hold the one-cell surface shortcut to the
+per-pair SAT oracle, and the rescale loop that skips the interior on steps
+that cannot fit matches the loop that voxelizes every step in full, errors
+included. Random occupancy grids hold the overhang and stack checks, both
+rewrites and the placement order (or its error) to the old per-layer
+searches, and random placement orders hold the build simulation to the old
+column scan.
 ``run_feasibility`` writes the grid and report bytes (or the error) of the
 orchestration it replaced, on the demos and on cell designs with riders on
 tall columns, over overhang limits 0-3, stack limits 1-4 and both
@@ -30,7 +35,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockplan import mesh_io
 from blockplan.config import AssemblyConfig
 from blockplan.discretizer import (
     SAT_EPSILON,
@@ -253,6 +261,72 @@ def test_weld_pair_at_exactly_the_tolerance_matches_oracle():
         theirs = oracles.repair_mesh(TriangleMesh(verts, tris), weld_tolerance=tolerance)
         np.testing.assert_array_equal(ours.vertices, theirs.vertices)
         assert ours.repair == theirs.repair
+
+
+def triangles_on(points, far: float = 50.0) -> TriangleMesh:
+    """A soup of one triangle per point, its other two corners far away; the
+    far corners repeat in every triangle, so they are exact copies too."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    corners = np.array([[far, 0.0, 0.0], [0.0, far, 0.0]])
+    verts = np.concatenate([np.concatenate([[p], corners]) for p in points])
+    return TriangleMesh(verts, np.arange(len(verts), dtype=np.int64).reshape(-1, 3))
+
+
+def assert_same_weld(mesh: TriangleMesh, tolerance: float) -> None:
+    ours = repair_mesh(mesh, weld_tolerance=tolerance)
+    theirs = oracles.repair_mesh(mesh, weld_tolerance=tolerance)
+    assert ours.vertices.tobytes() == theirs.vertices.tobytes()  # -0.0 differs from 0.0
+    np.testing.assert_array_equal(ours.triangles, theirs.triangles)
+    assert ours.repair == theirs.repair
+
+
+A, B = (1.00002, 0.0, 0.0), (1.00017, 0.0, 0.0)  # one 2e-4 weld cell, 1.5e-4 apart
+CHAIN = [(1.0 + 0.9e-4 * k, 0.5, 0.5) for k in range(25)]  # steps below 1e-4, across cells
+WELD_CASES = {
+    "copies-around-another-position": triangles_on([A, B, A, B, A]),
+    "copies-split-by-another-cell": triangles_on([A, (3, 3, 3), A, (0.5, 0.5, 0.5), A]),
+    "signed-zero-copies": triangles_on([(-0.0, 1, 0), (0.0, 1, 0), (0, 1, -0.0), (-0.0, 1, 0)]),
+    "zero-then-negative-zero": triangles_on([(0, 0, 2), (-0.0, -0.0, 2), (0, -0.0, 2)]),
+    "chained-near-copies": triangles_on(CHAIN[::2] + CHAIN[::-1] + CHAIN[1::2]),
+    "one-position": TriangleMesh(np.full((9, 3), 2.0), np.arange(9).reshape(-1, 3)),
+}
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-4, 1e-3])
+@pytest.mark.parametrize("name", sorted(WELD_CASES))
+def test_weld_folds_exact_copies_like_oracle(name, tolerance):
+    assert_same_weld(WELD_CASES[name], tolerance)
+
+
+def test_copies_apart_in_sort_order_stay_in_the_search():
+    # A, B, A share a weld cell; the second A does not follow the first in
+    # the stable key order, so it is its own head and welds through a pair
+    mesh = triangles_on([A, B, A])
+    heads, first, second = mesh_io._close_pairs(mesh.vertices, 1e-4)
+    assert heads[[0, 3, 6]].tolist() == [0, 3, 6]
+    assert (0, 6) in set(zip(first.tolist(), second.tolist()))
+    assert repair_mesh(mesh).repair.welded_vertices == 5  # the second A and four far corners
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.integers(1, 30),
+    triangles=st.integers(1, 40),
+    spread=st.sampled_from([1e-3, 1.0, 100.0]),
+    tolerance=st.sampled_from([1e-12, 1e-4, 1e-3]),
+)
+def test_weld_of_repeated_and_jittered_vertices_matches_oracle(
+    seed, distinct, triangles, spread, tolerance
+):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-spread, spread, (distinct, 3))
+    base[rng.random(base.shape) < 0.1] = 0.0
+    base[rng.random(base.shape) < 0.1] = -0.0
+    verts = base[rng.integers(0, distinct, 3 * triangles)]
+    jitter = rng.random(len(verts)) < 0.3
+    verts[jitter] += rng.uniform(-1.5, 1.5, (int(jitter.sum()), 3)) * tolerance
+    assert_same_weld(TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3)), tolerance)
 
 
 # --- surface shortcut and rescale pruning ----------------------------------------
