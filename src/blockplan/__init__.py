@@ -9,7 +9,8 @@ The pipeline stages, in order:
 4. feasibility - run buildability checks and rewrite failing designs
 5. sequencer - order the cells so every placement rests on support
 6. toolpath  - emit pick-and-place motion commands with timing
-7. validator - replay a plan step by step and cross-check the report
+7. validation - replay a plan step by step and cross-check the report,
+   also in ``feasibility``
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ from .feasibility import (
     CheckResult,
     CheckStatus,
     FeasibilityReport,
+    PlacementStep,
+    SimulationReport,
     check_component_count,
     check_overhang,
     check_sequence_connectivity,
@@ -50,7 +53,9 @@ from .feasibility import (
     remove_overhangs,
     rescale_until_fits,
     run_feasibility,
+    simulate_assembly,
     truncate_stacks,
+    verify_report_consistency,
 )
 from .frontend import (
     GuidedPrompt,
@@ -89,12 +94,6 @@ from .toolpath import (
     estimate_duration,
     parse_toolpath,
     plan_toolpath,
-)
-from .validator import (
-    PlacementStep,
-    SimulationReport,
-    simulate_assembly,
-    verify_report_consistency,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .errors import (
     MalformedFile,
     SchemaError,
 )
-from .feasibility import run_feasibility
+from .feasibility import run_feasibility, simulate_assembly, verify_report_consistency
 from .frontend import (
     MockMeshGenerator,
     ObjectRequest,
@@ -43,7 +43,6 @@ from .toolpath import (
     estimate_duration,
     plan_toolpath,
 )
-from .validator import simulate_assembly, verify_report_consistency
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -1,16 +1,18 @@
-"""Structural feasibility checks and the failure-handling rewrites.
+"""Structural feasibility checks, the failure-handling rewrites and the
+post-planning validation.
 
 Four checks gate a discretized design: component count against the
 inventory, cantilever overhang, free-standing stack height, and placement
 connectivity. Each failed check has a deterministic rewrite: iterative
 rescaling, overhang removal, stack truncation, and connectivity-aware
-re-sorting.
+re-sorting. One placement replay serves the connectivity check and the build
+simulation; the report cross-check reruns the configured checks.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -178,21 +180,41 @@ def truncate_stacks(
     return _prune(grid, stack, partial(check_overhang, max_unsupported=max_unsupported))
 
 
+def _replay(seq: AssemblySequence, grid: OccupancyGrid) -> Iterator[tuple[Cell, bool, bool]]:
+    """Place the cells in order; yield each with whether it is supported (k = 0
+    or next to a placed cell) and its corridor clear (nothing placed above)."""
+    require_coverage(seq, grid)
+    placed: set[Cell] = set()
+    column_top: dict[tuple[int, int], int] = {}  # highest placed k per (i, j)
+    for cell in seq.cells:
+        i, j, k = cell
+        top = column_top.get((i, j), -1)
+        yield cell, k == 0 or any(nb in placed for nb in face_neighbors(cell)), top < k
+        column_top[(i, j)] = max(top, k)
+        placed.add(cell)
+
+
 def check_sequence_connectivity(
     seq: AssemblySequence, grid: OccupancyGrid
 ) -> CheckResult:
     """Passes when every placement beyond the ground touches an earlier one.
 
     Ground-layer cells (k = 0) count as connected by definition. The first
-    cell that has no already-placed face neighbor fails the check.
+    cell with no placed face neighbor fails the check and ends the replay.
     """
-    require_coverage(seq, grid)
-    placed: set[Cell] = set()
-    for cell in seq.cells:
-        if cell[2] > 0 and not any(nb in placed for nb in face_neighbors(cell)):
+    for cell, supported, _ in _replay(seq, grid):
+        if not supported:
             return CheckResult(CheckKind.CONNECTIVITY, (cell,))
-        placed.add(cell)
     return CheckResult(CheckKind.CONNECTIVITY)
+
+
+def _configured_checks(config: AssemblyConfig) -> tuple[Callable[..., CheckResult], ...]:
+    """The count, overhang and stack checks at ``config``'s limits."""
+    return (
+        partial(check_component_count, inventory=config.inventory),
+        partial(check_overhang, max_unsupported=config.overhang_limit),
+        partial(check_vertical_stack, max_stack=config.stack_limit),
+    )
 
 
 # --- rescaling ----------------------------------------------------------------
@@ -259,13 +281,12 @@ def run_feasibility(
     if not grid.occupied:
         raise EmptyAssembly("mesh voxelized to zero occupied cells")
 
-    overhang = partial(check_overhang, max_unsupported=config.overhang_limit)
-    stack = partial(check_vertical_stack, max_stack=config.stack_limit)
+    count_check, overhang, stack = _configured_checks(config)
 
     def connectivity(g: OccupancyGrid) -> CheckResult:
         return check_sequence_connectivity(naive_sort(g), g)
 
-    count = check_component_count(grid, config.inventory)
+    count = count_check(grid)
     results = (count, overhang(grid), stack(grid), connectivity(grid))
     modifications: list[dict] = []
     if failure_handling:
@@ -288,3 +309,79 @@ def run_feasibility(
             modifications.append({"action": "connectivity_sort"})
 
     return grid, FeasibilityReport(results, tuple(modifications), len(grid.occupied))
+
+
+# --- validation ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlacementStep:
+    cell: Cell
+    supported: bool
+    corridor_clear: bool
+    plane_clear: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.supported and self.corridor_clear and self.plane_clear
+
+
+@dataclass(frozen=True)
+class SimulationReport:
+    ok: bool
+    steps: tuple[PlacementStep, ...]
+    first_failure: int | None
+
+    def to_json(self) -> bytes:
+        obj = {
+            "ok": self.ok,
+            "first_failure": self.first_failure,
+            "steps": [
+                {
+                    "cell": list(step.cell),
+                    "supported": step.supported,
+                    "corridor_clear": step.corridor_clear,
+                    "plane_clear": step.plane_clear,
+                }
+                for step in self.steps
+            ],
+        }
+        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+def simulate_assembly(
+    seq: AssemblySequence, grid: OccupancyGrid, config: AssemblyConfig
+) -> SimulationReport:
+    """Replay the sequence and verify each placement is physically sound.
+
+    Per step: the cell must rest on the ground or touch an already placed
+    cell (support), the column straight above it must still be empty so the
+    gripper can descend (corridor), and the movement plane must clear the
+    structure including the new cell by the configured margin.
+    """
+    steps: list[PlacementStep] = []
+    top_k = -1
+    for cell, supported, corridor_clear in _replay(seq, grid):
+        top_k = max(top_k, cell[2])
+        top_z = grid.spec.origin[2] + (top_k + 1) * grid.spec.cell_size
+        plane_clear = config.movement_plane_z >= top_z + config.clearance - 1e-9
+        steps.append(PlacementStep(cell, supported, corridor_clear, plane_clear))
+    first_failure = next((n for n, s in enumerate(steps) if not s.ok), None)
+    return SimulationReport(first_failure is None, tuple(steps), first_failure)
+
+
+def verify_report_consistency(
+    report: FeasibilityReport, grid: OccupancyGrid, config: AssemblyConfig
+) -> bool:
+    """Recompute the checks on the final grid and recount components.
+
+    True only when the grid is non-empty, everything passes and the report's
+    final count matches. Used as the pipeline's last gate against stale or
+    tampered reports. Connectivity is not re-sorted: passing the overhang
+    check puts every cell of a layer k > 0 in reach, within its layer, of a
+    cell resting on layer k - 1, so ``connectivity_sort`` cannot fail there
+    and its order passes ``check_sequence_connectivity``.
+    """
+    if not grid.occupied or report.final_component_count != len(grid.occupied):
+        return False
+    return not any(check(grid).failed for check in _configured_checks(config))

@@ -4,9 +4,9 @@ rules, the connectivity-aware sort and the build simulation.
 These are the original per-line, per-vertex, per-triangle and per-cell
 loops of ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer
 overhang search, run-list stack rule, full-voxelize rescale loop and rewrite
-orchestration of ``blockplan.feasibility``, the all-pairs distance sort of
-``blockplan.sequencer``, the column-scan replay of ``blockplan.validator``,
-and the ``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``.
+orchestration and column-scan build replay of ``blockplan.feasibility``,
+the all-pairs distance sort of ``blockplan.sequencer``, and the
+``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``.
 The randomized equivalence tests require the current implementations to
 reproduce them exactly: same parsed meshes and parse errors, repaired
 vertices, triangles and repair summary, occupied cells, check details,
@@ -40,6 +40,8 @@ from blockplan.feasibility import (
     CheckKind,
     CheckResult,
     FeasibilityReport,
+    PlacementStep,
+    SimulationReport,
     check_component_count,
     check_sequence_connectivity,
 )
@@ -55,7 +57,6 @@ from blockplan.mesh_io import (
 )
 from blockplan.sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
 from blockplan.toolpath import CommandOp, Toolpath
-from blockplan.validator import PlacementStep, SimulationReport
 
 # --- parsing -------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from blockplan.feasibility import (
     check_overhang,
     check_sequence_connectivity,
     check_vertical_stack,
+    simulate_assembly,
 )
 from blockplan.config import AssemblyConfig, Workspace
 from blockplan.frontend import ObjectRequest, Rejection, fallback_filter
@@ -37,7 +38,6 @@ from blockplan.toolpath import (
     parse_toolpath,
     plan_toolpath,
 )
-from blockplan.validator import simulate_assembly
 from tests.conftest import make_grid, random_buildable_grid
 
 

@@ -9,11 +9,13 @@ triangle dropped, at 10 and 5 cm cells (both spheres rescale at 5 cm).
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from blockplan.cli import EXIT_OK, main
+from blockplan.cli import EXIT_OK, EXIT_VALIDATION_FAILED, main
 from blockplan.mesh_io import MeshFormat, TriangleMesh, serialize_mesh
+from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import icosphere
 
 ARTIFACTS = ("grid.json", "report.json", "sequence.json", "toolpath.json")
@@ -97,3 +99,75 @@ def test_sphere_artifacts_match_golden_hashes(shape, cell_size, tmp_path, capsys
     mesh_path.write_bytes(serialize_mesh(sphere_mesh(shape == "sphere"), MeshFormat.STL_BINARY))
     got = run_pipeline(mesh_path, tmp_path / "out", cell_size)
     assert got == GOLDEN[shape, cell_size]
+
+
+# ``summary.txt`` per pipeline case, with the mesh named by its bare file name
+# (its ``validation:`` line comes from the build simulation and the report
+# cross-check), and the ``simulation.json`` that ``validate`` writes for each
+# demo's grid, with the sequence as written (exit 0) and reversed (exit 14).
+SUMMARY = {
+    ("block", 10): "8835d4b440cabd790bc59dbc17833bec67773367f98464c4459645b5621262af",
+    ("shelf", 10): "b4f81d8918b6f5c3628de6185d1e6572009af583fa22cc9f55fd35249063175e",
+    ("tee", 10): "dac535cf66bc35a36c0706d096e8adfe210468f2d242834ced5fa0f88e2ef406",
+    ("table", 10): "093b94ff87ffd25c8599af5204565e8bfd1727fa68e757d68cd59f7c622da734",
+    ("sphere", 10): "bc49f117eab14bfd5c514dc9f9dc19f880a16f8ba1073b24092f1bd082a55339",
+    ("sphere", 5): "c10c3a0a37c0a50b919bafbe76b41d7638540b27b05e1775202d1d0bfbd937c6",
+    ("open_sphere", 10): "857c944f3cfa43481fbf17b9ab677d383e363a5eff6989886767a80ee2e2a4f5",
+    ("open_sphere", 5): "3a75431068840d8d3edb383814a29bcb99fbf55c1ce19e50f03a101259877573",
+}
+
+SIMULATION = {
+    "block": {
+        "sequence.json": "8d3af36c35a2a1ec6cb6cb3c5c923a1e1f08844306cdecac8952f2c08ea67303",
+        "reversed.json": "9f96c7b64e1ecda3755698789081397d6127bfb5b8a1bc95a036f51864453a08",
+    },
+    "shelf": {
+        "sequence.json": "796057675820a5c59a0ef446bd0167edba96bd65768b4f79031826dab24d77a3",
+        "reversed.json": "eef1b8a2d52a0e9f4c4d0bb05baa6a7cd6e6e9a31ea11e3f2e5ca444c6ac266f",
+    },
+    "tee": {
+        "sequence.json": "979d14a4a0adb80ccf325bf7b3128e8c17cd2d84a8dd3d77177be427b84abf50",
+        "reversed.json": "06cc292361135e14219dc56fd280522d39dbd317f5dabb64f974982be22f88f6",
+    },
+    "table": {
+        "sequence.json": "d9d4adddffde49f9f460f0668420e9d809e6421f55e3be3c0c88f1dc705a794d",
+        "reversed.json": "94ab1a12071fcbfc4429a8d57e1a3ca10c23fbd3982cf26a5d70cc9933d91f70",
+    },
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def summary_hash(mesh_path, out_dir, cell_size: float, monkeypatch) -> str:
+    monkeypatch.chdir(mesh_path.parent)  # the summary names the mesh as given
+    run_pipeline(Path(mesh_path.name), out_dir, cell_size)
+    return sha256(out_dir / "summary.txt")
+
+
+@pytest.mark.parametrize("name", ["block", "shelf", "tee", "table"])
+def test_demo_summary_and_simulation_match_golden_hashes(
+    name, demo_mesh_files, tmp_path, monkeypatch, capsys
+):
+    mesh_path = Path(demo_mesh_files[name])
+    assert summary_hash(mesh_path, tmp_path, 10, monkeypatch) == SUMMARY[name, 10]
+    seq = AssemblySequence.from_json((tmp_path / "sequence.json").read_bytes())
+    (tmp_path / "reversed.json").write_bytes(AssemblySequence(seq.cells[::-1]).to_json())
+    got = {}
+    for seq_name, code in (("sequence.json", EXIT_OK), ("reversed.json", EXIT_VALIDATION_FAILED)):
+        out_dir = tmp_path / seq_name.removesuffix(".json")
+        argv = ["validate", "--grid", str(tmp_path / "grid.json")]
+        argv += ["--sequence", str(tmp_path / seq_name), "--out-dir", str(out_dir)]
+        assert main(argv) == code
+        got[seq_name] = sha256(out_dir / "simulation.json")
+    assert got == SIMULATION[name]
+
+
+@pytest.mark.parametrize("cell_size", [10, 5])
+@pytest.mark.parametrize("shape", ["sphere", "open_sphere"])
+def test_sphere_summary_matches_golden_hash(shape, cell_size, tmp_path, monkeypatch, capsys):
+    mesh_path = tmp_path / f"{shape}.stl"
+    mesh_path.write_bytes(serialize_mesh(sphere_mesh(shape == "sphere"), MeshFormat.STL_BINARY))
+    got = summary_hash(mesh_path, tmp_path / "out", cell_size, monkeypatch)
+    assert got == SUMMARY[shape, cell_size]

@@ -57,6 +57,7 @@ from blockplan.feasibility import (
     remove_overhangs,
     rescale_until_fits,
     run_feasibility,
+    simulate_assembly,
     truncate_stacks,
 )
 from blockplan.mesh_io import (
@@ -74,7 +75,6 @@ from blockplan.sequencer import (
     connectivity_sort,
     face_neighbors,
 )
-from blockplan.validator import simulate_assembly
 from blockplan.shapes import (
     box_mesh,
     cell_design_mesh,
@@ -624,6 +624,9 @@ def test_simulation_matches_column_scan_oracle():
                 config = AssemblyConfig(movement_plane_z=plane)
                 report = simulate_assembly(order, grid, config)
                 assert report == oracles.simulate_assembly(order, grid, config)
+                # the connectivity check is the same replay, stopped at its first unsupported step
+                unsupported = tuple(step.cell for step in report.steps if not step.supported)
+                assert check_sequence_connectivity(order, grid).details == unsupported[:1]
                 passes += report.ok
                 failures += not report.ok
     assert passes >= 100 and failures >= 100

@@ -8,14 +8,15 @@ import random
 import pytest
 
 from blockplan.errors import SequenceGridMismatch
-from blockplan.feasibility import FeasibilityReport, run_feasibility
-from blockplan.sequencer import AssemblySequence, connectivity_sort
-from blockplan.validator import (
+from blockplan.feasibility import (
+    FeasibilityReport,
     PlacementStep,
     SimulationReport,
+    run_feasibility,
     simulate_assembly,
     verify_report_consistency,
 )
+from blockplan.sequencer import AssemblySequence, connectivity_sort
 
 
 def column(height: int):
