@@ -21,7 +21,6 @@ from .discretizer import (
     OccupancyGrid,
     Workspace,
     build_grid,
-    component_count,
     fit_to_workspace,
     voxelize,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "check_overhang",
     "check_sequence_connectivity",
     "check_vertical_stack",
-    "component_count",
     "connectivity_sort",
     "emit_toolpath",
     "estimate_duration",

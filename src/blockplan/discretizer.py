@@ -61,9 +61,6 @@ class GridSpec:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def cell_center(self, cell: Cell) -> np.ndarray:
-        return np.asarray(self.origin) + (np.asarray(cell) + 0.5) * self.cell_size
-
     def contains(self, cell: Cell) -> bool:
         return all(0 <= c < d for c, d in zip(cell, self.dims))
 
@@ -80,15 +77,12 @@ class OccupancyGrid:
                 raise ValueError(f"cell {cell} outside grid dims {self.spec.dims}")
         object.__setattr__(self, "occupied", cells)
 
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.occupied)
-
     def to_json(self) -> bytes:
         obj = {
             "cell_size_cm": float(self.spec.cell_size),
             "origin_cm": [float(v) for v in self.spec.origin],
             "dims": [int(d) for d in self.spec.dims],
-            "occupied": [list(c) for c in self.sorted_cells()],
+            "occupied": [list(c) for c in sorted(self.occupied)],
         }
         return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
@@ -124,10 +118,6 @@ def real_number(value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TypeError(f"needs a JSON number, not {type(value).__name__}")
     return float(value)
-
-
-def component_count(grid: OccupancyGrid) -> int:
-    return len(grid.occupied)
 
 
 def fit_to_workspace(

@@ -77,12 +77,6 @@ class FeasibilityReport:
     modifications: tuple[dict, ...]
     final_component_count: int
 
-    def result_for(self, kind: CheckKind) -> CheckResult:
-        for result in self.results:
-            if result.check is kind:
-                return result
-        raise KeyError(kind.value)
-
     def to_json(self) -> bytes:
         obj = {
             "checks": {r.check.value: r.status.value for r in self.results},

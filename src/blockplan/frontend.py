@@ -8,6 +8,7 @@ offline runs and client outages.
 from __future__ import annotations
 
 import json
+import re
 import string
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -56,6 +57,13 @@ _SCAFFOLD_PREFIXES = (
     "the",
     "an",
     "a",
+)
+
+# Strips any run of leading prefixes in one match. At each step the first
+# prefix in list order that ends at a space or at the end of the phrase wins.
+# \Z, because $ also matches before a final newline.
+_SCAFFOLD = re.compile(
+    r"(?:(?:%s)(?: |\Z))*" % "|".join(map(re.escape, _SCAFFOLD_PREFIXES))
 )
 
 # Clause markers after which a head phrase stops ("box to hold memories").
@@ -184,19 +192,7 @@ def fallback_filter(
     phrase = text.strip().lower()
     phrase = phrase.strip(string.punctuation + string.whitespace)
     phrase = " ".join(phrase.split())
-
-    changed = True
-    while changed:
-        changed = False
-        for prefix in _SCAFFOLD_PREFIXES:
-            if phrase == prefix:
-                phrase = ""
-            elif phrase.startswith(prefix + " "):
-                phrase = phrase[len(prefix) + 1 :]
-            else:
-                continue
-            changed = True
-            break
+    phrase = phrase[_SCAFFOLD.match(phrase).end() :]
 
     for marker in _CLAUSE_MARKERS:
         cut = phrase.find(marker)

@@ -64,15 +64,6 @@ class RepairSummary:
     flipped_triangles: int
     manifold: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "welded_vertices": self.welded_vertices,
-            "removed_degenerate": self.removed_degenerate,
-            "removed_duplicates": self.removed_duplicates,
-            "flipped_triangles": self.flipped_triangles,
-            "manifold": self.manifold,
-        }
-
 
 @dataclass(eq=False)
 class TriangleMesh:
@@ -189,13 +180,14 @@ def _resolve_format(data: bytes, hint: MeshFormat | str | None) -> MeshFormat:
         if name in ("stl_ascii", "stl_binary", "obj"):
             return MeshFormat(name)
         if name == "stl":
-            return _sniff_stl(data)
+            binary = _binary_stl_length_consistent(data)
+            return MeshFormat.STL_BINARY if binary else MeshFormat.STL_ASCII
         raise UnsupportedFormat(f"unknown format hint {hint!r}")
     return _sniff(data)
 
 
 def _sniff(data: bytes) -> MeshFormat:
-    # binary length first, as in _sniff_stl: a binary header may say "solid"
+    # binary length first, as for an "stl" hint: a binary header may say "solid"
     if _binary_stl_length_consistent(data):
         return MeshFormat.STL_BINARY
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte order mark; the parsers drop it
@@ -204,12 +196,6 @@ def _sniff(data: bytes) -> MeshFormat:
     if _looks_like_obj(data):
         return MeshFormat.OBJ
     raise UnsupportedFormat("could not identify mesh format")
-
-
-def _sniff_stl(data: bytes) -> MeshFormat:
-    if _binary_stl_length_consistent(data):
-        return MeshFormat.STL_BINARY
-    return MeshFormat.STL_ASCII
 
 
 def _binary_stl_length_consistent(data: bytes) -> bool:

@@ -37,12 +37,6 @@ class MotionParams:
         if not (0 < self.velocity < math.inf and 0 < self.acceleration < math.inf):
             raise ValueError("velocity and acceleration must be positive and finite")
 
-    @classmethod
-    def with_ratio(cls, velocity: float, ratio: SpeedRatio) -> "MotionParams":
-        if ratio is SpeedRatio.ONE_TO_ONE:
-            return cls(velocity, velocity)
-        return cls(velocity, velocity / 2.0)
-
     @property
     def ratio(self) -> SpeedRatio | None:
         """Which calibration family the pair belongs to, if any."""
@@ -133,15 +127,19 @@ def _validate_config(grid: OccupancyGrid, config: AssemblyConfig) -> None:
             f"movement plane at {config.movement_plane_z} cm is below the "
             f"workspace plus clearance ({required} cm)"
         )
+    # the gripper holds a whole component at the source: a cell-sized square
+    # centred on it, which must not overlap or touch an occupied footprint
     cell = grid.spec.cell_size
     ox, oy, _ = grid.spec.origin
     sx, sy, _ = config.source
+    x0, x1, y0, y1 = sx - cell / 2, sx + cell / 2, sy - cell / 2, sy + cell / 2
     for i, j, _k in grid.occupied:
-        if ox + i * cell <= sx <= ox + (i + 1) * cell and (
-            oy + j * cell <= sy <= oy + (j + 1) * cell
+        if ox + i * cell <= x1 and x0 <= ox + (i + 1) * cell and (
+            oy + j * cell <= y1 and y0 <= oy + (j + 1) * cell
         ):
             raise ConfigViolation(
-                f"source {config.source[:2]} lies inside the assembly footprint"
+                f"the component held at source {config.source[:2]} "
+                f"({cell} cm square) overlaps the assembly footprint"
             )
 
 
@@ -200,8 +198,8 @@ def calibration_schedule(
         velocity = start_velocity + step * increment
         if velocity > max_velocity + 1e-9:
             break
-        schedule.append(MotionParams.with_ratio(velocity, SpeedRatio.ONE_TO_ONE))
-        schedule.append(MotionParams.with_ratio(velocity, SpeedRatio.TWO_TO_ONE))
+        schedule.append(MotionParams(velocity, velocity))
+        schedule.append(MotionParams(velocity, velocity / 2.0))
         step += 1
     return schedule
 

@@ -5,13 +5,14 @@ These are the original per-line, per-vertex, per-triangle and per-cell
 loops of ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer
 overhang search, run-list stack rule, full-voxelize rescale loop and rewrite
 orchestration and column-scan build replay of ``blockplan.feasibility``,
-the all-pairs distance sort of ``blockplan.sequencer``, and the
-``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``.
+the all-pairs distance sort of ``blockplan.sequencer``, the
+``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``, and the
+restart loop that strips request scaffolding in ``blockplan.frontend``.
 The randomized equivalence tests require the current implementations to
 reproduce them exactly: same parsed meshes and parse errors, repaired
 vertices, triangles and repair summary, occupied cells, check details,
-rewritten and rescaled grids, placement orders, errors, simulation reports
-and toolpath bytes. The voxelizer has two
+rewritten and rescaled grids, placement orders, errors, simulation reports,
+toolpath bytes and stripped request phrases. The voxelizer has two
 interior tests here: the even-odd parity ray it used on closed meshes, and
 a per-cell generalized winding number that holds on every mesh.
 The weld oracle needs scipy, which is a test-only dependency.
@@ -45,6 +46,7 @@ from blockplan.feasibility import (
     check_component_count,
     check_sequence_connectivity,
 )
+from blockplan.frontend import _SCAFFOLD_PREFIXES
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
     DEGENERATE_AREA,
@@ -685,3 +687,23 @@ def emit_toolpath_json(path: Toolpath) -> bytes:
         ],
     }
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+# --- request filter ------------------------------------------------------------
+
+
+def strip_scaffolding(phrase: str) -> str:
+    """Drop leading request scaffolding, restarting at the first prefix."""
+    changed = True
+    while changed:
+        changed = False
+        for prefix in _SCAFFOLD_PREFIXES:
+            if phrase == prefix:
+                phrase = ""
+            elif phrase.startswith(prefix + " "):
+                phrase = phrase[len(prefix) + 1 :]
+            else:
+                continue
+            changed = True
+            break
+    return phrase

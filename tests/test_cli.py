@@ -420,6 +420,20 @@ def test_toolpath_rejects_a_non_finite_estimate(tmp_path, origin, cell_size, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, code", [
+    ("[-3,-3,10]", ConfigViolation.exit_code),
+    ("[-5,-5,10]", ConfigViolation.exit_code),  # the held component touches cell (0, 0, 0)
+    ("[-5.001,-5.001,10]", EXIT_OK),
+])
+def test_pipeline_rejects_a_held_component_over_the_footprint(
+    demo_mesh_files, tmp_path, capsys, source, code
+):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--mesh", demo_mesh_files["block"], "--set", f"source={source}"]
+    assert main([*argv, "--out-dir", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+
+
 def test_pipeline_rejects_a_non_finite_estimate(demo_mesh_files, tmp_path):
     out = tmp_path / "out"
     code = main([

@@ -11,7 +11,6 @@ from blockplan.discretizer import (
     OccupancyGrid,
     Workspace,
     build_grid,
-    component_count,
     fit_to_workspace,
     voxelize,
 )
@@ -124,7 +123,6 @@ def test_grid_spec_validation():
         GridSpec((0.0, 0.0, 0.0), 10.0, (0, 1, 1))
     spec = GridSpec((0.0, 0.0, 0.0), 10.0, (3, 3, 3))
     assert spec.cell_count == 27
-    assert spec.cell_center((0, 0, 0)).tolist() == [5.0, 5.0, 5.0]
     assert spec.contains((2, 2, 2))
     assert not spec.contains((3, 0, 0))
 
@@ -260,15 +258,6 @@ def test_voxelize_is_deterministic():
 
 
 # --- OccupancyGrid --------------------------------------------------------------
-
-
-def test_component_count_cases(grid_factory):
-    assert component_count(grid_factory([])) == 0
-    full = [(i, j, k) for i in range(6) for j in range(5) for k in range(6)]
-    assert component_count(grid_factory(full)) == 180
-    rng = np.random.default_rng(5)
-    picks = {tuple(int(v) for v in cell) for cell in rng.permutation(full)[:37]}
-    assert component_count(grid_factory(picks)) == 37
 
 
 def test_grid_rejects_out_of_range_cells():

@@ -13,7 +13,6 @@ from blockplan.config import AssemblyConfig
 from blockplan.discretizer import build_grid, voxelize
 from blockplan.errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from blockplan.feasibility import (
-    CheckKind,
     CheckStatus,
     FeasibilityReport,
     check_component_count,
@@ -249,7 +248,7 @@ def statuses(report: FeasibilityReport) -> tuple[str, ...]:
 def test_orchestrator_oversized_block(demo_meshes, config):
     grid, report = run_feasibility(demo_meshes["block"], config)
     assert statuses(report) == ("failed", "passed", "passed", "passed")
-    assert report.result_for(CheckKind.COMPONENT_COUNT).details == (180,)
+    assert report.results[0].details == (180,)
     assert [m["action"] for m in report.modifications] == ["rescale"]
     assert report.modifications[0]["iterations"] == 3
     assert report.modifications[0]["scale"] == pytest.approx(0.5, rel=1e-12)
@@ -305,7 +304,7 @@ def test_orchestrator_shelf(demo_meshes, config):
 def test_orchestrator_tee(demo_meshes, config):
     grid, report = run_feasibility(demo_meshes["tee"], config)
     assert statuses(report) == ("passed", "passed", "failed", "passed")
-    assert report.result_for(CheckKind.VERTICAL_STACK).details == ((1, 0, 5),)
+    assert report.results[2].details == ((1, 0, 5),)
     assert [m["action"] for m in report.modifications] == ["truncate_stacks"]
     assert report.modifications[0]["removed"] == [[1, 0, 5]]
     assert report.final_component_count == len(grid.occupied) == 7
@@ -378,14 +377,6 @@ def test_report_json_document(demo_meshes, config):
         {"action": "truncate_stacks", "removed": [[1, 0, 5]]}
     ]
     assert doc["final_component_count"] == 7
-
-
-def test_report_result_for_missing_kind():
-    report = FeasibilityReport(
-        results=(), modifications=(), final_component_count=1
-    )
-    with pytest.raises(KeyError):
-        report.result_for(CheckKind.OVERHANG)
 
 
 def test_check_result_status_objects(demo_meshes, config):

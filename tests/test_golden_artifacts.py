@@ -171,3 +171,20 @@ def test_sphere_summary_matches_golden_hash(shape, cell_size, tmp_path, monkeypa
     mesh_path.write_bytes(serialize_mesh(sphere_mesh(shape == "sphere"), MeshFormat.STL_BINARY))
     got = summary_hash(mesh_path, tmp_path / "out", cell_size, monkeypatch)
     assert got == SUMMARY[shape, cell_size]
+
+
+# ``toolpath.txt``, the robot-facing script that ``pipeline --format
+# robot_script`` writes for each demo at the default config.
+ROBOT_SCRIPT = {
+    "block": "e7dbbe9eed098901216856ebe6486167db6175a5eedb3d37d5ccd6a655367a15",
+    "shelf": "7306afd258cf590c82d2848dec2cdca4c3af5e7d631a04e13b3b5e20ded8a816",
+    "tee": "5fa7e63510de9feb2944d49147838da59147cb33a51b1b13470c49a0bf8ecbe9",
+    "table": "098af4af89a00acc6b311a0a7feb5685cc3b09d21f892467c8bc7dc0e87d6f34",
+}
+
+
+@pytest.mark.parametrize("name", ["block", "shelf", "tee", "table"])
+def test_demo_robot_script_matches_golden_hash(name, demo_mesh_files, tmp_path, capsys):
+    argv = ["pipeline", "--mesh", str(demo_mesh_files[name]), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--format", "robot_script"]) == EXIT_OK
+    assert sha256(tmp_path / "toolpath.txt") == ROBOT_SCRIPT[name]

@@ -26,12 +26,15 @@ failure-handling settings. ``parse_mesh`` gives the line-loop parsers' mesh
 or error, line number included, on seeded ASCII STL and OBJ files: every
 ``str.splitlines`` break and ``str.split`` gap, keyword case and position,
 polygons, negative, slashed and forward indices, Python-only number forms,
-invalid UTF-8, and the dense_mesh spheres.
+invalid UTF-8, and the dense_mesh spheres. The fallback filter's one
+scaffolding match strips what the restart loop over the prefixes strips, on
+seeded phrases of prefix words, whole prefixes and near-misses.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -50,6 +53,7 @@ from blockplan.discretizer import (
     voxelize,
 )
 from blockplan.errors import BlockplanError, CannotFit, MalformedFile
+from blockplan.frontend import _SCAFFOLD, _SCAFFOLD_PREFIXES
 from blockplan.feasibility import (
     check_overhang,
     check_sequence_connectivity,
@@ -175,7 +179,7 @@ def assert_same_repair(mesh: TriangleMesh) -> TriangleMesh:
     theirs = oracles.repair_mesh(mesh)
     np.testing.assert_array_equal(ours.vertices, theirs.vertices)
     np.testing.assert_array_equal(ours.triangles, theirs.triangles)
-    assert ours.repair.to_dict() == theirs.repair.to_dict()
+    assert ours.repair == theirs.repair
     return ours
 
 
@@ -744,3 +748,19 @@ def test_parser_errors_name_the_first_bad_line(name):
     with pytest.raises(MalformedFile) as caught:
         parse_mesh(PARSE_CASES[name], "obj" if name.startswith("obj") else "stl")
     assert str(caught.value) == FIRST_BAD_LINE[name]
+
+
+# words of the prefixes, the prefixes whole, and words that start like one
+SCAFFOLD_WORDS = sorted(
+    {w for prefix in _SCAFFOLD_PREFIXES for w in prefix.split()}
+    | set(_SCAFFOLD_PREFIXES)
+    | {"apple", "thee", "makes", "ann", "i'", "assembled", "box", "table", "to"}
+)
+
+
+def test_scaffold_match_strips_what_the_restart_loop_strips():
+    rng = random.Random(18)
+    for _ in range(20_000):
+        words = rng.choices(SCAFFOLD_WORDS, k=rng.randrange(8))
+        phrase = " ".join(words) + ("\n" if rng.random() < 0.05 else "")
+        assert phrase[_SCAFFOLD.match(phrase).end() :] == oracles.strip_scaffolding(phrase)

@@ -76,11 +76,6 @@ def test_params_must_be_finite(velocity, acceleration):
         MotionParams(velocity, acceleration)
 
 
-def test_params_with_ratio():
-    assert MotionParams.with_ratio(2.0, SpeedRatio.ONE_TO_ONE) == MotionParams(2.0, 2.0)
-    assert MotionParams.with_ratio(2.0, SpeedRatio.TWO_TO_ONE) == MotionParams(2.0, 1.0)
-
-
 def test_params_ratio_classification():
     assert MotionParams(1.0, 1.0).ratio is SpeedRatio.ONE_TO_ONE
     assert MotionParams(2.0, 1.0).ratio is SpeedRatio.TWO_TO_ONE
@@ -180,6 +175,24 @@ def test_plan_rejects_source_inside_footprint(grid_factory, config):
         planned(grid, inside)
 
 
+@pytest.mark.parametrize("xy, rejected", [
+    ((-5.0, 5.0), True),  # the held square's edge touches the cell's edge
+    ((15.0, 15.0), True),  # corner to corner
+    ((5.0, -5.0), True),
+    ((-5.001, 5.0), False),
+    ((15.001, 5.0), False),
+    ((5.0, 15.001), False),
+])
+def test_plan_tests_the_held_component_against_the_footprint(grid_factory, config, xy, rejected):
+    grid = grid_factory([(0, 0, 0)])
+    near = dataclasses.replace(config, source=(*xy, 10.0))
+    if rejected:
+        with pytest.raises(ConfigViolation, match="component held at source"):
+            planned(grid, near)
+    else:
+        assert len(planned(grid, near)) == 9
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -258,7 +271,7 @@ def test_duration_decreases_with_velocity(buildable_grid_factory, config):
     grid = buildable_grid_factory(random.Random(5150), max_cells=10)
     seq = connectivity_sort(grid)
     for params_for in (
-        lambda v: MotionParams.with_ratio(v, SpeedRatio.ONE_TO_ONE),
+        lambda v: MotionParams(v, v),
         lambda v: MotionParams(v, 1.0),
     ):
         durations = [
