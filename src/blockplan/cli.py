@@ -1,9 +1,10 @@
 """Command-line front end: full pipeline plus individually runnable stages.
 
-Stages write fixed-name JSON artifacts into an output directory and are
-strictly composable: running voxelize / check / sequence / toolpath by hand
-yields byte-identical files to one ``pipeline`` invocation. All writers are
+Stages write fixed-name artifacts into an output directory and are strictly
+composable: running check / sequence / toolpath / validate by hand yields
+byte-identical files to one ``pipeline`` invocation. All writers are
 deterministic, so re-running a command reproduces its artifacts bit for bit.
+Every failure is a :class:`BlockplanError` and exits with its ``exit_code``.
 """
 from __future__ import annotations
 
@@ -16,14 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import AssemblyConfig
-from .discretizer import OccupancyGrid, build_grid, fit_to_workspace, voxelize
+from .discretizer import OccupancyGrid, fit_to_workspace
 from .errors import (
     BlockplanError,
     ClientUnavailable,
     ConfigViolation,
     EmptyMesh,
     MalformedFile,
+    RequestRejected,
     SchemaError,
+    ValidationFailed,
 )
 from .feasibility import run_feasibility, simulate_assembly, verify_report_consistency
 from .frontend import (
@@ -34,7 +37,7 @@ from .frontend import (
     fallback_filter,
     path_format_hint,
 )
-from .mesh_io import TriangleMesh, bounding_box, finite_extent, parse_mesh, repair_mesh
+from .mesh_io import TriangleMesh, finite_extent, parse_mesh, repair_mesh
 from .sequencer import AssemblySequence, connectivity_sort
 from .toolpath import (
     MotionParams,
@@ -45,10 +48,7 @@ from .toolpath import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_REJECTED = 6
-EXIT_VALIDATION_FAILED = 14
-# every other failure exits with its error type's ``exit_code`` (errors.py)
+EXIT_USAGE = 2  # argparse's usage error, and a file-system error on a path
 
 
 def _load_config(args: argparse.Namespace) -> AssemblyConfig:
@@ -80,9 +80,10 @@ def _write(out_dir: Path, name: str, data: bytes) -> Path:
     return path
 
 
-def _write_toolpath(out_dir: Path, path: Toolpath, fmt: str) -> Path:
+def _emitted_toolpath(path: Toolpath, fmt: str) -> tuple[str, bytes]:
+    """The toolpath artifact's file name and its bytes in ``fmt``."""
     name = "toolpath.txt" if fmt == "robot_script" else "toolpath.json"
-    return _write(out_dir, name, emit_toolpath(path, fmt))
+    return name, emit_toolpath(path, fmt)
 
 
 def _fitted_mesh(
@@ -93,7 +94,7 @@ def _fitted_mesh(
     Returns the fitted mesh and its fit scale, then the repaired and the
     raw mesh and a short provenance string for the summary.
     """
-    if getattr(args, "mesh", None) is not None:
+    if args.mesh is not None:
         path = Path(args.mesh)
         try:  # the file bytes are freed once parsed, before repair
             mesh = parse_mesh(path.read_bytes(), path_format_hint(path))
@@ -125,22 +126,18 @@ def _fitted_mesh(
     return fitted, fit_scale, repaired, mesh, provenance
 
 
-class _RejectedRequest(Exception):
-    """Carries a :class:`Rejection` message to ``main``, which exits 6."""
-
-
 def _object_request(text: str) -> ObjectRequest:
     """The filtered request; blank text is rejected like an abstract one."""
     result = fallback_filter(text) if text.strip() else Rejection(text)
     if isinstance(result, Rejection):
-        raise _RejectedRequest(result.message)
+        raise RequestRejected(result.message)
     return result
 
 
 # --- subcommands ---------------------------------------------------------
 
 
-def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     out_dir = Path(args.out_dir)
     fitted, fit_scale, repaired, raw, provenance = _fitted_mesh(args, cfg)
     grid, report = run_feasibility(
@@ -151,11 +148,12 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     sim = simulate_assembly(seq, grid, cfg)
     consistent = verify_report_consistency(report, grid, cfg)
     duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
+    toolpath = _emitted_toolpath(path, args.format)  # a refusal leaves no --out-dir
 
     _write(out_dir, "grid.json", grid.to_json())
     _write(out_dir, "report.json", report.to_json())
     _write(out_dir, "sequence.json", seq.to_json())
-    _write_toolpath(out_dir, path, args.format)
+    _write(out_dir, *toolpath)
 
     summary = repaired.repair
     lines = [
@@ -185,27 +183,16 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     _write(out_dir, "summary.txt", ("\n".join(lines) + "\n").encode("utf-8"))
 
     if not sim.ok or not consistent:
-        print("validation failed; see summary.txt", file=sys.stderr)
-        return EXIT_VALIDATION_FAILED
+        raise ValidationFailed("validation failed; see summary.txt")
     print(f"pipeline ok: {report.final_component_count} components, "
           f"artifacts in {out_dir}")
-    return EXIT_OK
 
 
-def _cmd_filter(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+def _cmd_filter(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     print(_object_request(args.text).extracted_phrase)
-    return EXIT_OK
 
 
-def _cmd_voxelize(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
-    fitted = _fitted_mesh(args, cfg)[0]
-    grid = voxelize(fitted, build_grid(bounding_box(fitted), cfg.cell_size))
-    path = _write(Path(args.out_dir), "grid.json", grid.to_json())
-    print(f"{len(grid.occupied)} occupied cells -> {path}")
-    return EXIT_OK
-
-
-def _cmd_check(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+def _cmd_check(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     grid, report = run_feasibility(
         _fitted_mesh(args, cfg)[0], cfg, failure_handling=not args.no_failure_handling
     )
@@ -214,46 +201,37 @@ def _cmd_check(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
     path = _write(out_dir, "report.json", report.to_json())
     statuses = " ".join(f"{r.check.value}={r.status.value}" for r in report.results)
     print(f"{statuses} -> {path}")
-    return EXIT_OK
 
 
-def _cmd_sequence(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+def _cmd_sequence(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = connectivity_sort(grid)
     path = _write(Path(args.out_dir), "sequence.json", seq.to_json())
     print(f"{len(seq)} placements -> {path}")
-    return EXIT_OK
 
 
-def _cmd_toolpath(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+def _cmd_toolpath(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = AssemblySequence.from_json(Path(args.sequence).read_bytes())
     path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
     duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
-    written = _write_toolpath(Path(args.out_dir), path, args.format)
+    written = _write(Path(args.out_dir), *_emitted_toolpath(path, args.format))
     print(f"{len(path)} commands, estimated {duration:.1f} s -> {written}")
-    return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace, cfg: AssemblyConfig) -> int:
+def _cmd_validate(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = AssemblySequence.from_json(Path(args.sequence).read_bytes())
     sim = simulate_assembly(seq, grid, cfg)
     path = _write(Path(args.out_dir), "simulation.json", sim.to_json())
     if not sim.ok:
-        print(
-            f"simulation failed at step {sim.first_failure} -> {path}",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION_FAILED
+        raise ValidationFailed(f"simulation failed at step {sim.first_failure} -> {path}")
     print(f"simulation ok -> {path}")
-    return EXIT_OK
 
 
 _DISPATCH = {
     "pipeline": _cmd_pipeline,
     "filter": _cmd_filter,
-    "voxelize": _cmd_voxelize,
     "check": _cmd_check,
     "sequence": _cmd_sequence,
     "toolpath": _cmd_toolpath,
@@ -302,10 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     filter_cmd.add_argument("--text", required=True)
     _add_common(filter_cmd)
 
-    voxelize_cmd = sub.add_parser("voxelize", help="mesh -> occupancy grid")
-    voxelize_cmd.add_argument("--mesh", required=True)
-    _add_common(voxelize_cmd)
-
     check = sub.add_parser("check", help="mesh -> feasibility report + final grid")
     check.add_argument("--mesh", required=True)
     check.add_argument("--no-failure-handling", action="store_true")
@@ -334,17 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _DISPATCH[args.command](args, cfg)
-    except _RejectedRequest as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_REJECTED
+        _DISPATCH[args.command](args, _load_config(args))
     except BlockplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -23,10 +23,11 @@ MAX_GRID_CELLS = 2**24
 class AssemblyConfig:
     """Workspace geometry, robot parameters and mesh intake for one build.
 
-    ``movement_plane_z`` must clear the workspace by ``clearance``, and the
-    component held at ``source`` (a cell-sized square centred on it in x and
-    y) must neither overlap nor touch the assembly footprint; both are
-    enforced when a toolpath is planned, where the occupied cells are known.
+    ``movement_plane_z`` must clear the workspace by ``clearance`` and lie
+    above the pick and every release, and the component held at ``source``
+    (a cell-sized square centred on it in x and y) must neither overlap nor
+    touch the assembly footprint; these are enforced when a toolpath is
+    planned, where the occupied cells are known.
     Every other constraint is checked here and raises :class:`ValueError`.
     """
 

@@ -60,3 +60,13 @@ class ClientUnavailable(BlockplanError):
 class SchemaError(BlockplanError):
     """JSON artifact does not match the expected schema."""
     exit_code = 15
+
+
+class RequestRejected(BlockplanError):
+    """The text request names no concrete object to build."""
+    exit_code = 6
+
+
+class ValidationFailed(BlockplanError):
+    """The planned sequence failed its replay, or the report its grid."""
+    exit_code = 14

@@ -127,10 +127,18 @@ def _validate_config(grid: OccupancyGrid, config: AssemblyConfig) -> None:
             f"movement plane at {config.movement_plane_z} cm is below the "
             f"workspace plus clearance ({required} cm)"
         )
+    # every descent, to the pick and to the highest release, ends below the plane
+    cell = grid.spec.cell_size
+    ox, oy, oz = grid.spec.origin
+    release = oz + (max(k for _i, _j, k in grid.occupied) + 1) * cell + config.tool_offset_z
+    for name, z in (("pick", config.source[2]), ("highest release", release)):
+        if not z < config.movement_plane_z:
+            raise ConfigViolation(
+                f"the {name} at {z} cm is not below the movement plane "
+                f"at {config.movement_plane_z} cm"
+            )
     # the gripper holds a whole component at the source: a cell-sized square
     # centred on it, which must not overlap or touch an occupied footprint
-    cell = grid.spec.cell_size
-    ox, oy, _ = grid.spec.origin
     sx, sy, _ = config.source
     x0, x1, y0, y1 = sx - cell / 2, sx + cell / 2, sy - cell / 2, sy + cell / 2
     for i, j, _k in grid.occupied:
@@ -222,7 +230,8 @@ def _json_number(value) -> str:
 
 
 def emit_toolpath(path: Toolpath, fmt: str = "json") -> bytes:
-    """Serialize as canonical JSON or as a line-oriented robot script."""
+    """Serialize as canonical JSON or as a line-oriented robot script, whose
+    three-decimal motion limits must read back within 1 % (else ConfigViolation)."""
     if fmt == "json":
         commands = ",\n".join(
             _MOVE_JSON % tuple(map(_json_number, c.xyz_mm))
@@ -236,13 +245,18 @@ def emit_toolpath(path: Toolpath, fmt: str = "json") -> bytes:
             f'  "commands": {commands}\n}}\n'
         ).encode("utf-8")
     if fmt == "robot_script":
-        v = path.params.velocity
-        a = path.params.acceleration
+        v, a = (f"{limit:.3f}" for limit in (path.params.velocity, path.params.acceleration))
+        for text, limit in ((v, path.params.velocity), (a, path.params.acceleration)):
+            if abs(float(text) - limit) > 0.01 * limit:
+                raise ConfigViolation(
+                    f"the robot script states the motion limit {limit!r} as {text}, "
+                    "more than 1 % off"
+                )
         lines = []
         for command in path.commands:
             if command.op is CommandOp.MOVE:
                 x, y, z = command.xyz_mm
-                lines.append(f"MOVE {x:.3f} {y:.3f} {z:.3f} {v:.3f} {a:.3f}")
+                lines.append(f"MOVE {x:.3f} {y:.3f} {z:.3f} {v} {a}")
             else:
                 lines.append(command.op.value.upper())
         return ("\n".join(lines) + "\n").encode("ascii")

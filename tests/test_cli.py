@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from blockplan.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_VALIDATION_FAILED, main
+from blockplan.cli import EXIT_OK, EXIT_USAGE, main
 from blockplan.config import MAX_GRID_CELLS, AssemblyConfig
-from blockplan.discretizer import Workspace
+from blockplan.discretizer import Workspace, build_grid, fit_to_workspace, voxelize
 from blockplan.errors import (
     BlockplanError,
     CannotFit,
@@ -23,12 +23,14 @@ from blockplan.errors import (
     EmptyAssembly,
     EmptyMesh,
     MalformedFile,
+    RequestRejected,
     SchemaError,
     SequenceGridMismatch,
     UnsupportedFormat,
     Unsequenceable,
+    ValidationFailed,
 )
-from blockplan.mesh_io import MeshFormat, serialize_mesh
+from blockplan.mesh_io import MeshFormat, bounding_box, parse_mesh, repair_mesh, serialize_mesh
 from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import box_mesh, icosphere
 from tests.conftest import make_grid
@@ -48,16 +50,16 @@ def test_each_error_type_carries_its_documented_exit_code():
     subclasses = BlockplanError.__subclasses__()
     codes = {e.__name__: e.exit_code for e in subclasses}
     assert codes == {
-        "MalformedFile": 3, "UnsupportedFormat": 4, "EmptyMesh": 5, "ClientUnavailable": 7,
-        "CannotFit": 8, "EmptyAfterModification": 9, "Unsequenceable": 10,
-        "SequenceGridMismatch": 11, "ConfigViolation": 12, "EmptyAssembly": 13,
-        "SchemaError": 15,
+        "MalformedFile": 3, "UnsupportedFormat": 4, "EmptyMesh": 5, "RequestRejected": 6,
+        "ClientUnavailable": 7, "CannotFit": 8, "EmptyAfterModification": 9,
+        "Unsequenceable": 10, "SequenceGridMismatch": 11, "ConfigViolation": 12,
+        "EmptyAssembly": 13, "ValidationFailed": 14, "SchemaError": 15,
     }
     assert len(set(codes.values())) == len(codes)
     assert BlockplanError.exit_code == 1
     assert all("exit_code" in vars(e) for e in subclasses)  # none inherits the base's 1
-    outcomes = {EXIT_OK, EXIT_USAGE, EXIT_REJECTED, EXIT_VALIDATION_FAILED}
-    assert outcomes == {0, 2, 6, 14} and not outcomes & set(codes.values())
+    outcomes = {EXIT_OK, EXIT_USAGE}
+    assert outcomes == {0, 2} and not outcomes & set(codes.values())
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -120,13 +122,14 @@ def test_fine_grid_pipeline_equals_composed_stages(tmp_path):
     assert len(json.loads((whole / "grid.json").read_bytes())["occupied"]) >= 500
 
 
-def test_pipeline_without_handling_reports_failure(demo_mesh_files, tmp_path):
+def test_pipeline_without_handling_reports_failure(demo_mesh_files, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
         "pipeline", "--mesh", demo_mesh_files["tee"],
         "--no-failure-handling", "--out-dir", str(out),
     ])
-    assert code == EXIT_VALIDATION_FAILED
+    assert code == ValidationFailed.exit_code
+    assert capsys.readouterr() == ("", "error: validation failed; see summary.txt\n")
     report = json.loads((out / "report.json").read_bytes())
     assert report["checks"]["vertical_stack"] == "failed"
     assert report["modifications"] == []
@@ -159,20 +162,21 @@ def test_pipeline_from_text_with_manifest(demo_mesh_files, tmp_path):
 
 def test_pipeline_rejects_abstract_text(tmp_path, capsys):
     code = main(["pipeline", "--text", "Knowledge", "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_REJECTED
-    assert "restate" in capsys.readouterr().err.lower()
+    assert code == RequestRejected.exit_code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "restate" in err.lower()
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["filter", "--text", ""], EXIT_REJECTED),
-    (["pipeline", "--text", "   "], EXIT_REJECTED),
+    (["filter", "--text", ""], RequestRejected.exit_code),
+    (["pipeline", "--text", "   "], RequestRejected.exit_code),
     (["pipeline", "--mesh", ""], MalformedFile.exit_code),  # reads the directory "."
-    (["filter", "--text", "\x01\x02"], EXIT_REJECTED),
-    (["filter", "--text", "\u200b"], EXIT_REJECTED),
+    (["filter", "--text", "\x01\x02"], RequestRejected.exit_code),
+    (["filter", "--text", "\u200b"], RequestRejected.exit_code),
 ], ids=["filter-empty", "pipeline-blank", "mesh-empty", "filter-control", "filter-invisible"])
 def test_blank_source_arguments_exit_with_their_codes(tmp_path, capsys, argv, code):
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
-    if code == EXIT_REJECTED:
+    if code == RequestRejected.exit_code:
         assert "restate" in capsys.readouterr().err.lower()
 
 
@@ -223,16 +227,21 @@ def test_filter_prints_phrase(capsys):
 
 
 def test_filter_rejects(capsys):
-    assert main(["filter", "--text", "Knowledge"]) == EXIT_REJECTED
+    assert main(["filter", "--text", "Knowledge"]) == RequestRejected.exit_code
     assert "restate" in capsys.readouterr().err.lower()
 
 
-def test_voxelize_writes_grid(demo_mesh_files, tmp_path, capsys):
+@pytest.mark.parametrize("name", ["block", "shelf", "tee", "table"])
+def test_check_without_handling_writes_the_voxelized_grid(demo_mesh_files, tmp_path, name):
+    # the raw grid of the fitted mesh, before any check rewrites it
     out = tmp_path / "out"
-    assert main(["voxelize", "--mesh", demo_mesh_files["tee"], "--out-dir", str(out)]) == EXIT_OK
-    doc = json.loads((out / "grid.json").read_bytes())
-    assert len(doc["occupied"]) == 8
-    assert "8 occupied cells" in capsys.readouterr().out
+    argv = ["check", "--mesh", demo_mesh_files[name], "--no-failure-handling"]
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+    cfg = AssemblyConfig()
+    mesh = repair_mesh(parse_mesh(Path(demo_mesh_files[name]).read_bytes()), cfg.weld_tolerance)
+    fitted = fit_to_workspace(mesh, cfg.workspace, cfg.max_upscale)[0]
+    grid = voxelize(fitted, build_grid(bounding_box(fitted), cfg.cell_size))
+    assert (out / "grid.json").read_bytes() == grid.to_json()
 
 
 def test_check_writes_grid_and_report(demo_mesh_files, tmp_path, capsys):
@@ -281,9 +290,10 @@ def test_validate_reports_bad_sequence(tmp_path, capsys):
         "validate", "--grid", str(tmp_path / "grid.json"),
         "--sequence", str(tmp_path / "seq.json"), "--out-dir", str(tmp_path),
     ])
-    assert code == EXIT_VALIDATION_FAILED
+    assert code == ValidationFailed.exit_code
     assert json.loads((tmp_path / "simulation.json").read_bytes())["first_failure"] == 0
-    assert "failed at step 0" in capsys.readouterr().err
+    path = tmp_path / "simulation.json"
+    assert capsys.readouterr() == ("", f"error: simulation failed at step 0 -> {path}\n")
 
 
 def _stage(tmp_path, grid_doc: str, cells: str = "[[0, 0, 0]]") -> list[str]:
@@ -407,8 +417,8 @@ def test_toolpath_rejects_infinite_coordinates(tmp_path, override):
 
 
 @pytest.mark.parametrize("origin, cell_size, overrides", [
-    # finite coordinates whose distance overflows a float
-    ("[1e307, 0, 0]", "1e306", ["source=[-1e307,0,0]"]),
+    # finite coordinates whose distance overflows a float (the release is at 0 cm)
+    ("[1e307, 0, -1e306]", "1e306", ["source=[-1e307,0,0]"]),
     # limits whose scaled product underflows to zero
     ("[0, 0, 0]", "10.0", ["velocity=1e-200", "motion_unit_scale=1e-200"]),
 ], ids=["distance-overflow", "limit-underflow"])
@@ -432,6 +442,54 @@ def test_pipeline_rejects_a_held_component_over_the_footprint(
     argv = ["pipeline", "--mesh", demo_mesh_files["block"], "--set", f"source={source}"]
     assert main([*argv, "--out-dir", str(out)]) == code
     assert out.exists() == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("override, code", [
+    ("tool_offset_z=100", ConfigViolation.exit_code),  # released at 140 cm
+    ("source=[-15,-15,100]", ConfigViolation.exit_code),
+    ("source=[-15,-15,65]", ConfigViolation.exit_code),  # picked at the plane itself
+    ("source=[-15,-15,64.999]", EXIT_OK),
+], ids=["release-above", "pick-above", "pick-at", "pick-below"])
+def test_pipeline_ends_every_descent_below_the_plane(
+    demo_mesh_files, tmp_path, capsys, override, code
+):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--mesh", demo_mesh_files["table"], "--set", override]
+    assert main([*argv, "--out-dir", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code != EXIT_OK:
+        assert "is not below the movement plane" in capsys.readouterr().err
+
+
+def test_toolpath_refuses_a_release_at_or_above_the_plane(tmp_path, capsys):
+    # two cells stacked from 50 cm: the upper is released at 70 cm, above the plane
+    files = _stage(tmp_path, _grid_doc(origin="[0, 0, 50]", dims="[1, 1, 2]",
+                                       occupied="[[0, 0, 0], [0, 0, 1]]"),
+                   cells="[[0, 0, 0], [0, 0, 1]]")
+    for offset, code in (("-5", ConfigViolation.exit_code), ("-5.001", EXIT_OK)):
+        out = tmp_path / f"out{offset}"
+        argv = ["toolpath", *files, "--set", f"tool_offset_z={offset}", "--out-dir", str(out)]
+        assert main(argv) == code
+        assert out.exists() == (code == EXIT_OK)
+    assert "highest release at 65.0 cm is not below" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, code", [
+    ("robot_script", ConfigViolation.exit_code),
+    ("json", EXIT_OK),
+])
+def test_pipeline_refuses_a_robot_script_that_misstates_the_limits(
+    demo_mesh_files, tmp_path, capsys, fmt, code
+):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--mesh", demo_mesh_files["tee"], "--format", fmt]
+    argv += ["--set", "velocity=0.0004", "--set", "acceleration=0.0002"]
+    assert main([*argv, "--out-dir", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)  # refused before any artifact is written
+    if code != EXIT_OK:
+        assert capsys.readouterr().err == (
+            "error: the robot script states the motion limit 0.0004 as 0.000, more than 1 % off\n"
+        )
 
 
 def test_pipeline_rejects_a_non_finite_estimate(demo_mesh_files, tmp_path):
@@ -474,10 +532,14 @@ def test_mesh_file_without_triangles_is_empty_before_repair(tmp_path, capsys, na
 # --- input errors ----------------------------------------------------------
 
 
+def _check_raw(mesh: Path, out_dir: Path) -> int:
+    return main(["check", "--mesh", str(mesh), "--no-failure-handling", "--out-dir", str(out_dir)])
+
+
 def test_malformed_mesh_file(tmp_path):
     bad = tmp_path / "bad.stl"
     bad.write_text("solid x\nfacet\nvertex 1 2\nendfacet\nendsolid x\n")
-    assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == MalformedFile.exit_code
+    assert _check_raw(bad, tmp_path) == MalformedFile.exit_code
 
 
 def test_non_finite_vertex_mesh_file(tmp_path):
@@ -528,13 +590,13 @@ def test_suffixless_binary_stl_with_solid_header(tmp_path):
 def test_unrecognizable_mesh_file(tmp_path):
     bad = tmp_path / "bad.xyz"
     bad.write_bytes(b"garbage")
-    assert main(["voxelize", "--mesh", str(bad), "--out-dir", str(tmp_path)]) == UnsupportedFormat.exit_code
+    assert _check_raw(bad, tmp_path) == UnsupportedFormat.exit_code
 
 
 def test_empty_mesh_file(tmp_path):
     empty = tmp_path / "empty.stl"
     empty.write_text("solid x\nendsolid x\n")
-    assert main(["voxelize", "--mesh", str(empty), "--out-dir", str(tmp_path)]) == EmptyMesh.exit_code
+    assert _check_raw(empty, tmp_path) == EmptyMesh.exit_code
 
 
 def test_junk_grid_document(tmp_path):
@@ -785,7 +847,7 @@ def test_mesh_unit_scale_overflowing_the_extent_is_config_violation(tmp_path):
 )
 def test_voxelize_rejects_too_fine_a_grid(demo_mesh_files, tmp_path, override):
     code = main([
-        "voxelize", "--mesh", demo_mesh_files["tee"],
+        "check", "--mesh", demo_mesh_files["tee"], "--no-failure-handling",
         "--set", override, "--out-dir", str(tmp_path / "out"),
     ])
     assert code == SchemaError.exit_code

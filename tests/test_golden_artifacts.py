@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from blockplan.cli import EXIT_OK, EXIT_VALIDATION_FAILED, main
+from blockplan.cli import EXIT_OK, main
+from blockplan.errors import ValidationFailed
 from blockplan.mesh_io import MeshFormat, TriangleMesh, serialize_mesh
 from blockplan.sequencer import AssemblySequence
 from blockplan.shapes import icosphere
@@ -155,7 +156,8 @@ def test_demo_summary_and_simulation_match_golden_hashes(
     seq = AssemblySequence.from_json((tmp_path / "sequence.json").read_bytes())
     (tmp_path / "reversed.json").write_bytes(AssemblySequence(seq.cells[::-1]).to_json())
     got = {}
-    for seq_name, code in (("sequence.json", EXIT_OK), ("reversed.json", EXIT_VALIDATION_FAILED)):
+    codes = {"sequence.json": EXIT_OK, "reversed.json": ValidationFailed.exit_code}
+    for seq_name, code in codes.items():
         out_dir = tmp_path / seq_name.removesuffix(".json")
         argv = ["validate", "--grid", str(tmp_path / "grid.json")]
         argv += ["--sequence", str(tmp_path / seq_name), "--out-dir", str(out_dir)]

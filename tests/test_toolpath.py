@@ -193,6 +193,25 @@ def test_plan_tests_the_held_component_against_the_footprint(grid_factory, confi
         assert len(planned(grid, near)) == 9
 
 
+@pytest.mark.parametrize("change, refused", [
+    # two layers of 10 cm cells: the top one is released at 20 cm plus the offset
+    ({"tool_offset_z": 45.0}, "highest release at 65.0 cm"),
+    ({"tool_offset_z": 44.999}, None),
+    ({"source": (-15.0, -15.0, 65.0)}, "pick at 65.0 cm"),
+    ({"source": (-15.0, -15.0, 64.999)}, None),
+    ({"source": (-15.0, -15.0, 65.0), "movement_plane_z": 65.001}, None),
+])
+def test_plan_ends_every_descent_below_the_plane(grid_factory, config, change, refused):
+    grid = grid_factory([(0, 0, 0), (0, 0, 1)])
+    if refused:
+        with pytest.raises(ConfigViolation, match=f"{refused} is not below the movement plane"):
+            planned(grid, dataclasses.replace(config, **change))
+    else:
+        path = planned(grid, dataclasses.replace(config, **change))
+        plane = path.commands[0].xyz_mm[2]
+        assert all(c.xyz_mm[2] < plane for c in path.commands if c.xyz_mm and c.xyz_mm[2] != plane)
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -397,6 +416,27 @@ def test_robot_script_format(grid_factory, config):
     for line in lines:
         if line.startswith("MOVE"):
             assert len(line.split()) == 6
+
+
+@pytest.mark.parametrize("velocity, acceleration, refused", [
+    (0.0004, 0.0002, "0.0004 as 0.000"),  # both read back as zero
+    (2.0, 0.0005, "0.0005 as 0.001"),  # read back as twice the limit
+    (0.0995, 0.0495, "0.0495 as 0.050"),  # 0.5 % off, then 1.01 % off
+    (0.05, 0.0505, None),  # exactly 0.050, then 0.99 % off
+    (1e300, 1e-3, None),
+])
+def test_robot_script_refuses_limits_it_would_misstate(
+    grid_factory, config, velocity, acceleration, refused
+):
+    path = planned(grid_factory([(0, 0, 0)]), config, MotionParams(velocity, acceleration))
+    if refused:
+        with pytest.raises(ConfigViolation, match=f"motion limit {refused}, more than 1 % off"):
+            emit_toolpath(path, fmt="robot_script")
+    else:
+        line = emit_toolpath(path, fmt="robot_script").decode("ascii").splitlines()[0]
+        v, a = map(float, line.split()[4:])
+        assert v == pytest.approx(velocity, rel=0.01) and a == pytest.approx(acceleration, rel=0.01)
+    assert emit_toolpath(path)  # the JSON plan states every limit as given
 
 
 def test_emit_rejects_unknown_format(grid_factory, config):
