@@ -19,7 +19,6 @@ from .discretizer import (
     DEFAULT_CELL_SIZE,
     GridSpec,
     OccupancyGrid,
-    Workspace,
     build_grid,
     fit_to_workspace,
     voxelize,
@@ -135,7 +134,6 @@ __all__ = [
     "TriangleMesh",
     "UnsupportedFormat",
     "Unsequenceable",
-    "Workspace",
     "acquire_mesh",
     "bounding_box",
     "build_grid",

@@ -80,10 +80,15 @@ def _write(out_dir: Path, name: str, data: bytes) -> Path:
     return path
 
 
-def _emitted_toolpath(path: Toolpath, fmt: str) -> tuple[str, bytes]:
-    """The toolpath artifact's file name and its bytes in ``fmt``."""
+def _toolpath_stage(
+    seq: AssemblySequence, grid: OccupancyGrid, cfg: AssemblyConfig, fmt: str
+) -> tuple[Toolpath, float, tuple[str, bytes]]:
+    """The planned commands, their estimated seconds, and the toolpath
+    artifact's file name and bytes in ``fmt``. Call it before writing."""
+    path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
+    duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
     name = "toolpath.txt" if fmt == "robot_script" else "toolpath.json"
-    return name, emit_toolpath(path, fmt)
+    return path, duration, (name, emit_toolpath(path, fmt))
 
 
 def _fitted_mesh(
@@ -103,12 +108,9 @@ def _fitted_mesh(
         provenance = f"mesh file {args.mesh}"
     else:
         request = _object_request(args.text)
-        manifest = args.mesh_manifest or cfg.mesh_manifest
-        if not manifest:
-            raise ClientUnavailable(
-                "text input needs a mesh source: pass --mesh-manifest or configure one"
-            )
-        mesh = acquire_mesh(request, MockMeshGenerator.from_file(manifest))
+        if not args.mesh_manifest:
+            raise ClientUnavailable("text input needs a mesh source: pass --mesh-manifest")
+        mesh = acquire_mesh(request, MockMeshGenerator.from_file(args.mesh_manifest))
         provenance = f'phrase "{request.extracted_phrase}" from text input'
     if not mesh.triangle_count:
         raise EmptyMesh("mesh has no triangles")
@@ -144,11 +146,9 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
         fitted, cfg, failure_handling=not args.no_failure_handling
     )
     seq = connectivity_sort(grid)
-    path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
+    path, duration, toolpath = _toolpath_stage(seq, grid, cfg, args.format)
     sim = simulate_assembly(seq, grid, cfg)
     consistent = verify_report_consistency(report, grid, cfg)
-    duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
-    toolpath = _emitted_toolpath(path, args.format)  # a refusal leaves no --out-dir
 
     _write(out_dir, "grid.json", grid.to_json())
     _write(out_dir, "report.json", report.to_json())
@@ -213,9 +213,8 @@ def _cmd_sequence(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
 def _cmd_toolpath(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     grid = OccupancyGrid.from_json(Path(args.grid).read_bytes())
     seq = AssemblySequence.from_json(Path(args.sequence).read_bytes())
-    path = plan_toolpath(seq, grid, cfg, MotionParams(cfg.velocity, cfg.acceleration))
-    duration = estimate_duration(path, cfg.gripper_dwell_s, cfg.motion_unit_scale)
-    written = _write(Path(args.out_dir), *_emitted_toolpath(path, args.format))
+    path, duration, toolpath = _toolpath_stage(seq, grid, cfg, args.format)
+    written = _write(Path(args.out_dir), *toolpath)
     print(f"{len(path)} commands, estimated {duration:.1f} s -> {written}")
 
 
@@ -239,14 +238,15 @@ _DISPATCH = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable, JSON values)",
-    )
+def _add_common(parser: argparse.ArgumentParser, settings: bool = True) -> None:
+    if settings:  # only the commands that read the config take one
+        parser.add_argument("--config", help="JSON config file")
+        parser.add_argument(
+            "--set",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a config key (repeatable, JSON values)",
+        )
     parser.add_argument("--out-dir", default="out", help="artifact directory")
 
 
@@ -257,6 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Plan a cube-component assembly and a robot toolpath "
         "from a triangle mesh or a text request.",
     )
+    # what main reads of a command that does not take the option
+    parser.set_defaults(config=None, set=None, mesh_manifest=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pipeline = sub.add_parser("pipeline", help="run every stage end to end")
@@ -278,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     filter_cmd = sub.add_parser("filter", help="extract the object phrase")
     filter_cmd.add_argument("--text", required=True)
-    _add_common(filter_cmd)
+    _add_common(filter_cmd, settings=False)  # --out-dir is accepted and unused
 
     check = sub.add_parser("check", help="mesh -> feasibility report + final grid")
     check.add_argument("--mesh", required=True)
@@ -287,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sequence = sub.add_parser("sequence", help="grid -> placement order")
     sequence.add_argument("--grid", required=True)
-    _add_common(sequence)
+    _add_common(sequence, settings=False)
 
     toolpath_cmd = sub.add_parser("toolpath", help="grid + sequence -> commands")
     toolpath_cmd.add_argument("--grid", required=True)
@@ -306,7 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.mesh_manifest is not None and args.mesh is not None:
+        parser.error("--mesh-manifest is read only with --text, not with --mesh")
     try:
         _DISPATCH[args.command](args, _load_config(args))
     except BlockplanError as exc:

@@ -4,9 +4,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .discretizer import DEFAULT_CELL_SIZE, Workspace, real_number, whole_number
+from .discretizer import DEFAULT_CELL_SIZE, real_number, whole_number
 from .errors import SchemaError
 from .mesh_io import DEFAULT_WELD_TOLERANCE
 
@@ -23,15 +23,17 @@ MAX_GRID_CELLS = 2**24
 class AssemblyConfig:
     """Workspace geometry, robot parameters and mesh intake for one build.
 
-    ``movement_plane_z`` must clear the workspace by ``clearance`` and lie
-    above the pick and every release, and the component held at ``source``
-    (a cell-sized square centred on it in x and y) must neither overlap nor
-    touch the assembly footprint; these are enforced when a toolpath is
-    planned, where the occupied cells are known.
+    ``workspace`` is the reachable build volume, three extents in cm.
+    ``movement_plane_z`` must clear the workspace and the finished
+    structure's top by ``clearance`` and lie above the pick and every
+    release, and the component held at ``source`` (a cell-sized square
+    centred on it in x and y) must neither overlap nor touch the assembly
+    footprint; these are enforced when a toolpath is planned, where the
+    occupied cells are known.
     Every other constraint is checked here and raises :class:`ValueError`.
     """
 
-    workspace: Workspace = field(default_factory=Workspace)
+    workspace: tuple[float, float, float] = (60.0, 50.0, 60.0)  # cm
     cell_size: float = DEFAULT_CELL_SIZE
     inventory: int = 40
     source: tuple[float, float, float] = (-15.0, -15.0, 10.0)  # cm, pick-up point
@@ -47,23 +49,20 @@ class AssemblyConfig:
     motion_unit_scale: float = 1.0
     mesh_unit_scale: float = 1.0  # mesh file units -> cm
     weld_tolerance: float = DEFAULT_WELD_TOLERANCE
-    mesh_manifest: str | None = None  # JSON map of phrase -> mesh file
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, Workspace):
-                value = value.extent
             values = value if isinstance(value, tuple) else (value,)
             # NaN passes every range check below, so reject it first
             if any(isinstance(v, float) and math.isnan(v) for v in values):
                 raise ValueError(f"{f.name} must not be NaN")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        if any(e < self.cell_size for e in self.workspace.extent):
+        if any(e < self.cell_size for e in self.workspace):
             raise ValueError("workspace must fit at least one component per axis")
         # bounds the ceil(e / cell) cells per axis; an infinite product fails too
-        cells = math.prod(e / self.cell_size + 1 for e in self.workspace.extent)
+        cells = math.prod(e / self.cell_size + 1 for e in self.workspace)
         if not cells <= MAX_GRID_CELLS:
             raise ValueError(f"workspace holds over {MAX_GRID_CELLS} cells of this size")
         if self.inventory < 1:
@@ -111,15 +110,10 @@ def _convert(kind: str, value):
     ``from __future__ import annotations``)."""
     if value is None and kind.endswith("| None"):
         return None
-    if kind in ("Workspace", "tuple[float, float, float]"):
+    if kind == "tuple[float, float, float]":
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ValueError("needs a 3-element list")
-        triple = tuple(map(real_number, value))
-        return Workspace(triple) if kind == "Workspace" else triple
+        return tuple(map(real_number, value))
     if kind == "int":
         return whole_number(value)
-    if kind.startswith("str"):
-        if not isinstance(value, str):
-            raise TypeError("needs a string")
-        return value
     return real_number(value)

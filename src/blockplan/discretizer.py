@@ -31,17 +31,6 @@ Cell = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
-class Workspace:
-    """Reachable build volume of the placement robot, in cm."""
-
-    extent: tuple[float, float, float] = (60.0, 50.0, 60.0)
-
-    def __post_init__(self) -> None:
-        if any(e <= 0 for e in self.extent):
-            raise ValueError("workspace extents must be positive")
-
-
-@dataclass(frozen=True)
 class GridSpec:
     origin: tuple[float, float, float]
     cell_size: float
@@ -121,19 +110,19 @@ def real_number(value) -> float:
 
 
 def fit_to_workspace(
-    mesh: TriangleMesh, workspace: Workspace, max_scale: float | None = 1.0
+    mesh: TriangleMesh, workspace: tuple[float, float, float], max_scale: float | None = 1.0
 ) -> tuple[TriangleMesh, float]:
     """Uniformly scale and translate the mesh into ``[0, extent]`` per axis.
 
+    ``workspace`` holds the three extents in cm; each must be positive.
     The scale factor is the most constraining extent ratio, capped at
     ``max_scale`` (default 1.0: never upscale; pass ``None`` to uncap).
     The bounding-box minimum lands exactly on the origin.
     """
+    if not all(e > 0 for e in workspace):
+        raise ValueError("workspace extents must be positive")
     box = bounding_box(mesh)
-    extents = box.extents
-    ratios = [
-        ws / ext for ws, ext in zip(workspace.extent, extents) if ext > 0.0
-    ]
+    ratios = [ws / ext for ws, ext in zip(workspace, box.extents) if ext > 0.0]
     scale = min(ratios) if ratios else 1.0
     if max_scale is not None:
         scale = min(scale, max_scale)

@@ -121,16 +121,18 @@ def plan_toolpath(
 
 
 def _validate_config(grid: OccupancyGrid, config: AssemblyConfig) -> None:
-    required = config.workspace.extent[2] + config.clearance
-    if config.movement_plane_z < required - 1e-9:
-        raise ConfigViolation(
-            f"movement plane at {config.movement_plane_z} cm is below the "
-            f"workspace plus clearance ({required} cm)"
-        )
-    # every descent, to the pick and to the highest release, ends below the plane
     cell = grid.spec.cell_size
     ox, oy, oz = grid.spec.origin
-    release = oz + (max(k for _i, _j, k in grid.occupied) + 1) * cell + config.tool_offset_z
+    top = oz + (max(k for _i, _j, k in grid.occupied) + 1) * cell
+    # the plane clears the workspace and the finished structure, as in the replay
+    for name, height in (("workspace", config.workspace[2]), ("structure's top", top)):
+        if config.movement_plane_z < height + config.clearance - 1e-9:
+            raise ConfigViolation(
+                f"movement plane at {config.movement_plane_z} cm is below the "
+                f"{name} at {height} cm plus clearance ({config.clearance} cm)"
+            )
+    # every descent, to the pick and to the highest release, ends below the plane
+    release = top + config.tool_offset_z
     for name, z in (("pick", config.source[2]), ("highest release", release)):
         if not z < config.movement_plane_z:
             raise ConfigViolation(

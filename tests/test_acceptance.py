@@ -21,7 +21,7 @@ from blockplan.feasibility import (
     check_vertical_stack,
     simulate_assembly,
 )
-from blockplan.config import AssemblyConfig, Workspace
+from blockplan.config import AssemblyConfig
 from blockplan.frontend import ObjectRequest, Rejection, fallback_filter
 from blockplan.mesh_io import bounding_box
 from blockplan.sequencer import connectivity_sort, naive_sort
@@ -145,7 +145,7 @@ def test_acceptance_3_voxelization_sampling_oracle(capsys):
 def test_acceptance_4_workspace_constants(capsys):
     with reported(4, capsys):
         mesh = box_mesh((0.0, 0.0, 0.0), (120.0, 100.0, 120.0))
-        fitted, scale = fit_to_workspace(mesh, Workspace())
+        fitted, scale = fit_to_workspace(mesh, AssemblyConfig().workspace)
         box = bounding_box(fitted)
         assert scale == 0.5
         assert box.extents == (60.0, 50.0, 60.0)

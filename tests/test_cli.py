@@ -14,7 +14,7 @@ import pytest
 
 from blockplan.cli import EXIT_OK, EXIT_USAGE, main
 from blockplan.config import MAX_GRID_CELLS, AssemblyConfig
-from blockplan.discretizer import Workspace, build_grid, fit_to_workspace, voxelize
+from blockplan.discretizer import build_grid, fit_to_workspace, voxelize
 from blockplan.errors import (
     BlockplanError,
     CannotFit,
@@ -112,7 +112,7 @@ def test_fine_grid_pipeline_equals_composed_stages(tmp_path):
     assert main(["pipeline", "--mesh", str(mesh), *cfg, "--out-dir", str(whole)]) == EXIT_OK
     grid, seq = str(staged / "grid.json"), str(staged / "sequence.json")
     assert main(["check", "--mesh", str(mesh), *cfg, "--out-dir", str(staged)]) == EXIT_OK
-    assert main(["sequence", "--grid", grid, *cfg, "--out-dir", str(staged)]) == EXIT_OK
+    assert main(["sequence", "--grid", grid, "--out-dir", str(staged)]) == EXIT_OK
     for stage in ("toolpath", "validate"):
         code = main([stage, "--grid", grid, "--sequence", seq, *cfg, "--out-dir", str(staged)])
         assert code == EXIT_OK
@@ -202,8 +202,8 @@ TABLE_REQUEST = ["pipeline", "--text", "make me a coffee table", "--mesh-manifes
 
 @pytest.mark.parametrize("argv, code, message", [
     (["pipeline", "--mesh", "{missing}"], MalformedFile.exit_code, "cannot read"),
-    (["filter", "--text", "a box", "--config", "{missing}"], SchemaError.exit_code, "cannot load config"),
-    (["filter", "--text", "a box", "--config", "{listed}"], SchemaError.exit_code, "must be a JSON object"),
+    (["check", "--mesh", "a.stl", "--config", "{missing}"], SchemaError.exit_code, "cannot load config"),
+    (["check", "--mesh", "a.stl", "--config", "{listed}"], SchemaError.exit_code, "must be a JSON object"),
     ([*TABLE_REQUEST, "{missing}"], ClientUnavailable.exit_code, "cannot load mesh manifest"),
     ([*TABLE_REQUEST, "{listed}"], ClientUnavailable.exit_code, "must be a JSON object"),
 ], ids=["mesh", "config", "config-not-object", "manifest", "manifest-not-object"])
@@ -462,16 +462,42 @@ def test_pipeline_ends_every_descent_below_the_plane(
 
 
 def test_toolpath_refuses_a_release_at_or_above_the_plane(tmp_path, capsys):
-    # two cells stacked from 50 cm: the upper is released at 70 cm, above the plane
-    files = _stage(tmp_path, _grid_doc(origin="[0, 0, 50]", dims="[1, 1, 2]",
+    # two cells stacked from 40 cm: the top, at 60 cm, clears the 65 cm plane
+    # by the 2 cm clearance, and the upper cell is released at 60 cm plus the offset
+    files = _stage(tmp_path, _grid_doc(origin="[0, 0, 40]", dims="[1, 1, 2]",
                                        occupied="[[0, 0, 0], [0, 0, 1]]"),
                    cells="[[0, 0, 0], [0, 0, 1]]")
-    for offset, code in (("-5", ConfigViolation.exit_code), ("-5.001", EXIT_OK)):
+    for offset, code in (("5", ConfigViolation.exit_code), ("4.999", EXIT_OK)):
         out = tmp_path / f"out{offset}"
         argv = ["toolpath", *files, "--set", f"tool_offset_z={offset}", "--out-dir", str(out)]
         assert main(argv) == code
         assert out.exists() == (code == EXIT_OK)
     assert "highest release at 65.0 cm is not below" in capsys.readouterr().err
+
+
+def test_toolpath_refuses_a_plane_below_the_structure(tmp_path, capsys):
+    # two cells stacked from 50 cm top out at 70 cm, above the 65 cm plane,
+    # although the upper one is released below it, at 64.999 cm
+    files = _stage(tmp_path, _grid_doc(origin="[0, 0, 50]", dims="[1, 1, 2]",
+                                       occupied="[[0, 0, 0], [0, 0, 1]]"),
+                   cells="[[0, 0, 0], [0, 0, 1]]")
+    out = tmp_path / "out"
+    argv = ["toolpath", *files, "--set", "tool_offset_z=-5.001", "--out-dir", str(out)]
+    assert main(argv) == ConfigViolation.exit_code
+    assert not out.exists()
+    assert "below the structure's top at 70.0 cm" in capsys.readouterr().err
+
+
+def test_pipeline_refuses_a_plane_below_the_top_plus_clearance(tmp_path, capsys):
+    # a 60 cm wall in 8 cm cells is 8 layers, 64 cm tall: the 65 cm plane
+    # clears it by 1 cm, less than the 2 cm clearance
+    mesh = tmp_path / "wall.stl"
+    mesh.write_bytes(serialize_mesh(box_mesh((0, 0, 0), (24, 8, 60)), MeshFormat.STL_BINARY))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--mesh", str(mesh), "--set", "cell_size=8", "--out-dir", str(out)]
+    assert main(argv) == ConfigViolation.exit_code
+    assert not out.exists()
+    assert "below the structure's top at 64.0 cm" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt, code", [
@@ -649,16 +675,16 @@ def test_config_file_applies(demo_mesh_files, tmp_path):
 def test_config_file_rejects_bad_documents(tmp_path):
     not_json = tmp_path / "cfg.json"
     not_json.write_text("{nope")
-    assert main(["filter", "--text", "a box", "--config", str(not_json)]) == SchemaError.exit_code
+    assert main(["check", "--mesh", "a.stl", "--config", str(not_json)]) == SchemaError.exit_code
     not_object = tmp_path / "cfg2.json"
     not_object.write_text("[]")
-    assert main(["filter", "--text", "a box", "--config", str(not_object)]) == SchemaError.exit_code
+    assert main(["check", "--mesh", "a.stl", "--config", str(not_object)]) == SchemaError.exit_code
 
 
 def test_config_file_that_is_not_text(tmp_path):
     binary = tmp_path / "cfg.json"
     binary.write_bytes(b"\xff\xfe{}")
-    assert main(["filter", "--text", "a box", "--config", str(binary)]) == SchemaError.exit_code
+    assert main(["check", "--mesh", "a.stl", "--config", str(binary)]) == SchemaError.exit_code
 
 
 @pytest.mark.parametrize(
@@ -716,8 +742,8 @@ _DEEP = "[" * 100_000 + "]" * 100_000
 @pytest.mark.parametrize(
     "argv,expected",
     [
-        (["filter", "--text", "a box", "--config", "{deep}"], SchemaError.exit_code),
-        (["filter", "--text", "a box", "--set", "cell_size=" + _DEEP], SchemaError.exit_code),
+        (["check", "--mesh", "a.stl", "--config", "{deep}"], SchemaError.exit_code),
+        (["check", "--mesh", "a.stl", "--set", "cell_size=" + _DEEP], SchemaError.exit_code),
         (["sequence", "--grid", "{deep}"], SchemaError.exit_code),
         (["validate", "--grid", "{grid}", "--sequence", "{deep}"], SchemaError.exit_code),
         (
@@ -863,8 +889,7 @@ def test_grid_cell_cap_boundary():
 
 
 # A valid non-default value for every config key, and the demo mesh on which
-# it changes the outcome of a pipeline run. For mesh_manifest the value is
-# the manifest path and the input is a text request.
+# it changes the outcome of a pipeline run.
 KEY_PROBES = {
     "workspace": ("tee", [40.0, 40.0, 40.0]),
     "cell_size": ("tee", 5.0),
@@ -882,7 +907,6 @@ KEY_PROBES = {
     "motion_unit_scale": ("tee", 2.0),
     "mesh_unit_scale": ("tee", 0.5),
     "weld_tolerance": ("tee", 0.0),
-    "mesh_manifest": ("table", None),
 }
 
 
@@ -890,10 +914,6 @@ KEY_PROBES = {
 def test_every_config_key_changes_the_outcome(demo_mesh_files, tmp_path, key):
     mesh, value = KEY_PROBES[key]
     source = ["--mesh", demo_mesh_files[mesh]]
-    if key == "mesh_manifest":
-        value = str(tmp_path / "manifest.json")
-        Path(value).write_text(json.dumps({"coffee table": demo_mesh_files[mesh]}))
-        source = ["--text", "make me a coffee table"]
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps({key: value}))
 
@@ -910,7 +930,7 @@ def test_every_config_key_changes_the_outcome(demo_mesh_files, tmp_path, key):
 
 def test_config_tuple_override_shape():
     cfg = AssemblyConfig.from_mapping({"workspace": [30, 30, 30]})
-    assert cfg.workspace == Workspace((30.0, 30.0, 30.0))
+    assert cfg.workspace == (30.0, 30.0, 30.0)
     with pytest.raises(SchemaError):
         AssemblyConfig.from_mapping({"workspace": [30, 30]})
 
@@ -921,6 +941,27 @@ def test_argparse_usage_errors():
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
         main(["pipeline"])  # needs --mesh or --text
+
+
+@pytest.mark.parametrize("argv", [
+    ["sequence", "--grid", "grid.json", "--set", "cell_size=5"],
+    ["sequence", "--grid", "grid.json", "--config", "cfg.json"],
+    ["filter", "--text", "a box", "--config", "cfg.json"],
+    ["filter", "--text", "a box", "--set", "inventory=0"],
+    ["pipeline", "--mesh", "tee.stl", "--mesh-manifest", "manifest.json"],
+], ids=["sequence-set", "sequence-config", "filter-config", "filter-set", "mesh-manifest"])
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, argv):
+    # sequence and filter read no setting; the manifest serves --text only
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert excinfo.value.code == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+def test_mesh_manifest_is_not_a_config_key(demo_mesh_files, tmp_path, capsys):
+    argv = ["pipeline", "--mesh", demo_mesh_files["tee"], "--set", "mesh_manifest=x"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == SchemaError.exit_code
+    assert "unknown config key 'mesh_manifest'" in capsys.readouterr().err
 
 
 def test_in_process_calls_leave_no_state_behind(demo_mesh_files, tmp_path, capsys, monkeypatch):

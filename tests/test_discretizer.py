@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockplan.config import AssemblyConfig
 from blockplan.discretizer import (
     GridSpec,
     OccupancyGrid,
-    Workspace,
     build_grid,
     fit_to_workspace,
     voxelize,
@@ -18,6 +18,7 @@ from blockplan.errors import EmptyMesh, SchemaError
 from blockplan.mesh_io import TriangleMesh, bounding_box, repair_mesh
 from blockplan.shapes import box_mesh, combine_meshes, icosphere, tee_mesh
 
+WORKSPACE = AssemblyConfig().workspace
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -40,7 +41,7 @@ def all_cells(spec: GridSpec):
 
 def test_fit_halves_double_size_mesh():
     mesh = box_mesh((0.0, 0.0, 0.0), (120.0, 100.0, 120.0))
-    fitted, scale = fit_to_workspace(mesh, Workspace())
+    fitted, scale = fit_to_workspace(mesh, WORKSPACE)
     assert scale == 0.5
     box = bounding_box(fitted)
     assert box.min_corner == (0.0, 0.0, 0.0)
@@ -49,7 +50,7 @@ def test_fit_halves_double_size_mesh():
 
 def test_fit_never_upscales_by_default():
     mesh = box_mesh((5.0, 5.0, 5.0), (35.0, 35.0, 35.0))
-    fitted, scale = fit_to_workspace(mesh, Workspace())
+    fitted, scale = fit_to_workspace(mesh, WORKSPACE)
     assert scale == 1.0
     box = bounding_box(fitted)
     assert box.min_corner == (0.0, 0.0, 0.0)  # translated only
@@ -58,7 +59,7 @@ def test_fit_never_upscales_by_default():
 
 def test_fit_uses_most_constraining_axis():
     mesh = box_mesh((0.0, 0.0, 0.0), (90.0, 40.0, 60.0))
-    fitted, scale = fit_to_workspace(mesh, Workspace())
+    fitted, scale = fit_to_workspace(mesh, WORKSPACE)
     assert scale == pytest.approx(2.0 / 3.0, rel=1e-12)
     box = bounding_box(fitted)
     assert box.max_corner[0] == pytest.approx(60.0)
@@ -68,23 +69,33 @@ def test_fit_uses_most_constraining_axis():
 
 def test_fit_with_uncapped_upscaling():
     mesh = box_mesh((0.0, 0.0, 0.0), (30.0, 30.0, 30.0))
-    _, scale = fit_to_workspace(mesh, Workspace(), max_scale=None)
+    _, scale = fit_to_workspace(mesh, WORKSPACE, max_scale=None)
     assert scale == pytest.approx(5.0 / 3.0)
-    _, capped = fit_to_workspace(mesh, Workspace(), max_scale=1.2)
+    _, capped = fit_to_workspace(mesh, WORKSPACE, max_scale=1.2)
     assert capped == 1.2
 
 
 def test_fit_ignores_zero_extent_axes():
     verts = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 20.0, 0.0]])
     flat = TriangleMesh(verts, np.array([[0, 1, 2]]))
-    _, scale = fit_to_workspace(flat, Workspace())
+    _, scale = fit_to_workspace(flat, WORKSPACE)
     assert scale == 1.0
 
 
 def test_fit_empty_mesh():
     empty = TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
     with pytest.raises(EmptyMesh):
-        fit_to_workspace(empty, Workspace())
+        fit_to_workspace(empty, WORKSPACE)
+
+
+@pytest.mark.parametrize("workspace", [
+    (0.0, 50.0, 60.0),
+    (60.0, -1.0, 60.0),
+    (60.0, 50.0, float("nan")),
+])
+def test_fit_refuses_a_workspace_without_positive_extents(workspace):
+    with pytest.raises(ValueError, match="workspace extents must be positive"):
+        fit_to_workspace(tee_mesh(), workspace)
 
 
 # --- build_grid -----------------------------------------------------------------
@@ -186,7 +197,7 @@ def test_open_sphere_voxelizes_like_the_closed_one(cell, count):
     opened = TriangleMesh(sphere.vertices, sphere.triangles[1:])
     grids = []
     for mesh in (sphere, opened):
-        fitted, _ = fit_to_workspace(repair_mesh(mesh), Workspace())
+        fitted, _ = fit_to_workspace(repair_mesh(mesh), WORKSPACE)
         grids.append(voxelize(fitted, build_grid(bounding_box(fitted), cell)).occupied)
     assert len(grids[0]) == count
     assert grids[1] == grids[0]

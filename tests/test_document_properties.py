@@ -74,8 +74,12 @@ def test_stage_documents_exit_with_documented_codes(tmp_path_factory, docs, over
     sequence = ["--sequence", str(directory / "sequence.json")]
     sets = [arg for override in overrides for arg in ("--set", override)]
     out = ["--out-dir", str(directory / "out")]
-    for argv in (["sequence", *grid], ["toolpath", *grid, *sequence], ["validate", *grid, *sequence]):
-        assert cli.main([*argv, *sets, *out]) in DOCUMENTED_CODES
+    for argv in (
+        ["sequence", *grid],  # reads no setting, so takes none
+        ["toolpath", *grid, *sequence, *sets],
+        ["validate", *grid, *sequence, *sets],
+    ):
+        assert cli.main([*argv, *out]) in DOCUMENTED_CODES
     toolpath = directory / "out" / "toolpath.json"
     if toolpath.exists():
         text = toolpath.read_text()

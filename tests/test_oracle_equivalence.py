@@ -47,7 +47,6 @@ from blockplan.discretizer import (
     SAT_EPSILON,
     GridSpec,
     OccupancyGrid,
-    Workspace,
     build_grid,
     fit_to_workspace,
     voxelize,
@@ -93,7 +92,8 @@ from tests import oracles
 
 CELL_SIZES = (2.5, 5.0, 10.0)
 # small enough that the scalar oracle stays fast at 2.5 cm cells
-WORKSPACE = Workspace((25.0, 20.0, 25.0))
+WORKSPACE = (25.0, 20.0, 25.0)
+DEFAULT_WORKSPACE = AssemblyConfig().workspace
 
 
 def as_soup(mesh: TriangleMesh, rng: np.random.Generator, flip: float) -> TriangleMesh:
@@ -184,7 +184,7 @@ def assert_same_repair(mesh: TriangleMesh) -> TriangleMesh:
 
 
 def assert_same_grid(
-    mesh: TriangleMesh, cell: float, workspace: Workspace, closed: bool = True
+    mesh: TriangleMesh, cell: float, workspace: tuple[float, float, float], closed: bool = True
 ) -> None:
     fitted, _ = fit_to_workspace(mesh, workspace)
     spec = build_grid(bounding_box(fitted), cell)
@@ -211,7 +211,7 @@ def test_demo_meshes_match_oracle(make):
     mesh = make()
     repaired = assert_same_repair(as_soup(mesh, rng, flip=0.25))
     assert_same_repair(mesh)
-    assert_same_grid(repaired, 10.0, Workspace())
+    assert_same_grid(repaired, 10.0, DEFAULT_WORKSPACE)
 
 
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
@@ -220,7 +220,7 @@ def test_icospheres_match_oracle(subdivisions):
     sphere = icosphere(14.0, (20.0, 20.0, 20.0), subdivisions)
     repaired = assert_same_repair(as_soup(sphere, rng, flip=0.1))
     for cell in CELL_SIZES[1:]:
-        assert_same_grid(repaired, cell, Workspace())
+        assert_same_grid(repaired, cell, DEFAULT_WORKSPACE)
 
 
 def test_moebius_windings_match_oracle():
@@ -418,7 +418,7 @@ def first_triangle_dropped(mesh: TriangleMesh) -> TriangleMesh:
 
 @pytest.mark.parametrize("name", sorted(RESCALE_MESHES))
 def test_pruned_rescale_matches_full_voxelize_loop(name):
-    mesh, _ = fit_to_workspace(RESCALE_MESHES[name](), Workspace())
+    mesh, _ = fit_to_workspace(RESCALE_MESHES[name](), DEFAULT_WORKSPACE)
     refusals = 0
     # 7 and 4 cm leave some designs wider than one cell but unable to shrink
     for cell in (10.0, 7.0, 4.0):
@@ -542,7 +542,7 @@ FEASIBILITY_DEMOS = (oversized_block_mesh, shelf_mesh, tee_mesh, table_mesh)
 def test_run_feasibility_matches_orchestration_oracle(seed):
     rng = np.random.default_rng([seed, 31])
     designs = [rider_design(rng) for _ in range(2)]
-    cases = [(fit_to_workspace(FEASIBILITY_DEMOS[seed](), Workspace())[0], set())]
+    cases = [(fit_to_workspace(FEASIBILITY_DEMOS[seed](), DEFAULT_WORKSPACE)[0], set())]
     cases += [(cell_design_mesh([(c, c) for c in cells]), riders) for cells, riders in designs]
     actions: set[str] = set()
     swept_riders = 0

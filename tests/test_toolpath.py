@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from blockplan.config import AssemblyConfig
 from blockplan.errors import ConfigViolation, SchemaError, SequenceGridMismatch
+from blockplan.feasibility import simulate_assembly
 from blockplan.sequencer import AssemblySequence, connectivity_sort
 from blockplan.toolpath import (
     Command,
@@ -27,6 +28,7 @@ from blockplan.toolpath import (
     parse_toolpath,
     plan_toolpath,
 )
+from tests.conftest import make_grid, random_buildable_grid
 from tests.oracles import emit_toolpath_json
 
 OPERATING_POINT = MotionParams(2.0, 1.0)
@@ -104,8 +106,6 @@ def test_single_cell_cycle(grid_factory, config):
 @pytest.mark.parametrize("cells", [1, 5, 40])
 def test_command_count_law(cells, config):
     rng = random.Random(cells)
-    from tests.conftest import random_buildable_grid
-
     grid = None
     while grid is None or len(grid.occupied) != cells:
         grid = random_buildable_grid(rng, max_cells=40)
@@ -210,6 +210,40 @@ def test_plan_ends_every_descent_below_the_plane(grid_factory, config, change, r
         path = planned(grid, dataclasses.replace(config, **change))
         plane = path.commands[0].xyz_mm[2]
         assert all(c.xyz_mm[2] < plane for c in path.commands if c.xyz_mm and c.xyz_mm[2] != plane)
+
+
+@pytest.mark.parametrize("clearance, refused", [(2.0, False), (2.001, True)])
+def test_plan_clears_the_finished_structure(grid_factory, config, clearance, refused):
+    # three layers from 33 cm top out at 63 cm: the 65 cm plane clears them by 2 cm,
+    # though the highest release, at 63 cm, is below it either way
+    grid = grid_factory([(0, 0, 0), (0, 0, 1), (0, 0, 2)], origin=(0.0, 0.0, 33.0))
+    margin = dataclasses.replace(config, clearance=clearance)
+    if refused:
+        with pytest.raises(ConfigViolation, match="below the structure's top at 63.0 cm"):
+            planned(grid, margin)
+    else:
+        assert len(planned(grid, margin)) == 25
+
+
+def test_every_accepted_plan_clears_the_plane_in_the_replay(config):
+    # the planner refuses every plan whose replay flags the movement plane
+    rng = random.Random(20)
+    accepted = 0
+    for _ in range(400):
+        cells = random_buildable_grid(rng, max_cells=12).occupied
+        origin = (0.0, 0.0, rng.uniform(-10.0, 40.0))
+        grid = make_grid(cells, cell_size=rng.choice((5.0, 8.0, 10.0, 11.0)), origin=origin)
+        changed = dataclasses.replace(
+            config, clearance=rng.uniform(0.0, 5.0), tool_offset_z=rng.uniform(-10.0, 5.0)
+        )
+        seq = connectivity_sort(grid)
+        try:
+            plan_toolpath(seq, grid, changed, OPERATING_POINT)
+        except ConfigViolation:
+            continue
+        accepted += 1
+        assert all(step.plane_clear for step in simulate_assembly(seq, grid, changed).steps)
+    assert accepted >= 100
 
 
 @pytest.mark.parametrize(
