@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -60,20 +61,24 @@ class OccupancyGrid:
     occupied: frozenset[Cell]
 
     def __post_init__(self) -> None:
-        cells = frozenset(tuple(int(c) for c in cell) for cell in self.occupied)
-        for cell in cells:
-            if not self.spec.contains(cell):
-                raise ValueError(f"cell {cell} outside grid dims {self.spec.dims}")
-        object.__setattr__(self, "occupied", cells)
+        cells = index_triples(self.occupied, "occupied cells")
+        occupied = frozenset(cells)
+        values = list(chain.from_iterable(cells))
+        axes = zip((values[axis::3] for axis in range(3)), self.spec.dims)
+        if cells and not all(0 <= min(v) and max(v) < d for v, d in axes):
+            bad = next(c for c in occupied if not self.spec.contains(c))
+            raise ValueError(f"cell {bad} outside grid dims {self.spec.dims}")
+        object.__setattr__(self, "occupied", occupied)
 
     def to_json(self) -> bytes:
-        obj = {
-            "cell_size_cm": float(self.spec.cell_size),
-            "origin_cm": [float(v) for v in self.spec.origin],
-            "dims": [int(d) for d in self.spec.dims],
-            "occupied": [list(c) for c in sorted(self.occupied)],
-        }
-        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        spec = self.spec
+        origin = json_triple(2) % tuple(map(float, spec.origin))
+        dims = json_triple(2) % tuple(map(int, spec.dims))
+        occupied = json_list(map(json_triple(4).__mod__, sorted(self.occupied)), 2)
+        return (
+            f'{{\n  "cell_size_cm": {float(spec.cell_size)!r},\n  "origin_cm": {origin},\n'
+            f'  "dims": {dims},\n  "occupied": {occupied}\n}}\n'
+        ).encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "OccupancyGrid":
@@ -84,19 +89,50 @@ class OccupancyGrid:
                 cell_size=real_number(obj["cell_size_cm"]),
                 dims=tuple(map(whole_number, obj["dims"])),
             )
-            occupied = frozenset(tuple(map(whole_number, cell)) for cell in obj["occupied"])
+            occupied = frozenset(index_triples(obj["occupied"], "occupied cells"))
             if len(spec.origin) != 3 or len(spec.dims) != 3:
                 raise ValueError("origin_cm and dims must have 3 entries")
-            if any(len(cell) != 3 for cell in obj["occupied"]):
-                raise ValueError("occupied cells must be index triples")
             return cls(spec, occupied)
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"not a valid occupancy grid document: {exc}") from exc
 
 
+def index_triples(cells, what: str = "cells") -> tuple[Cell, ...]:
+    """``cells`` as int triples; ValueError unless each is three whole numbers.
+    C-level passes accept lists and tuples of three ints; only when they fail does
+    a per-value pass run, which converts 3.0 and numpy integers or names the offender."""
+    cells = tuple(cells)
+    if set(map(type, cells)) <= {tuple, list} and set(map(len, cells)) <= {3}:
+        if set(map(type, chain.from_iterable(cells))) <= {int}:
+            return tuple(map(tuple, cells))
+    try:
+        cells = tuple(tuple(map(whole_number, cell)) for cell in cells)
+    except (TypeError, OverflowError) as exc:  # a cell that is no list, an infinity
+        raise ValueError(str(exc)) from exc
+    if any(len(cell) != 3 for cell in cells):
+        raise ValueError(f"{what} must be index triples")
+    return cells
+
+
+def json_triple(indent: int) -> str:
+    """The ``json.dumps(indent=2)`` layout of a number triple whose "[" ends a
+    line indented by ``indent`` spaces, with a ``%s`` slot per number: ``str``
+    prints ints and finite floats as the json module does."""
+    pad = " " * indent
+    return f"[\n{pad}  %s,\n{pad}  %s,\n{pad}  %s\n{pad}]"
+
+
+def json_list(items, indent: int) -> str:
+    """The ``json.dumps(indent=2)`` layout of a list of already laid out
+    values whose "[" ends a line indented by ``indent`` spaces."""
+    pad = "\n" + " " * indent
+    body = f",{pad}  ".join(items)
+    return f"[{pad}  {body}{pad}]" if body else "[]"
+
+
 def whole_number(value) -> int:
-    """A JSON index or count as an int; booleans and fractions raise."""
-    whole = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON index or count (or a numpy integer) as an int; booleans and fractions raise."""
+    whole = isinstance(value, (int, float, np.integer)) and not isinstance(value, bool)
     if not whole or int(value) != value:  # int() of an infinity overflows
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .config import DEFAULT_OVERHANG_LIMIT, DEFAULT_STACK_LIMIT, AssemblyConfig
-from .discretizer import Cell, OccupancyGrid, build_grid, voxelize
+from .discretizer import Cell, OccupancyGrid, build_grid, json_list, json_triple, voxelize
 from .errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from .mesh_io import TriangleMesh, bounding_box
 from .sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
@@ -320,6 +320,13 @@ class PlacementStep:
         return self.supported and self.corridor_clear and self.plane_clear
 
 
+# one step of simulation.json, laid out as json.dumps(indent=2) lays it out
+_STEP_JSON = (
+    '{\n      "cell": ' + json_triple(6) + ',\n      "supported": %s,\n'
+    '      "corridor_clear": %s,\n      "plane_clear": %s\n    }'
+)
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     ok: bool
@@ -327,20 +334,13 @@ class SimulationReport:
     first_failure: int | None
 
     def to_json(self) -> bytes:
-        obj = {
-            "ok": self.ok,
-            "first_failure": self.first_failure,
-            "steps": [
-                {
-                    "cell": list(step.cell),
-                    "supported": step.supported,
-                    "corridor_clear": step.corridor_clear,
-                    "plane_clear": step.plane_clear,
-                }
-                for step in self.steps
-            ],
-        }
-        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        flags = ("false", "true")
+        steps = json_list((_STEP_JSON % (*s.cell, flags[s.supported], flags[s.corridor_clear],
+                                         flags[s.plane_clear]) for s in self.steps), 2)
+        return (
+            f'{{\n  "ok": {json.dumps(self.ok)},\n  "first_failure": '
+            f'{json.dumps(self.first_failure)},\n  "steps": {steps}\n}}\n'
+        ).encode("utf-8")
 
 
 def simulate_assembly(

@@ -290,7 +290,8 @@ def _parse_obj(data: bytes) -> TriangleMesh:
 def _text_lines(text: str) -> str:
     """``text`` with each ``str.splitlines`` break made one "\\n", and one more in front."""
     for brk in _LINE_BREAKS:
-        text = text.replace(brk, "\n")
+        if brk[0] in text:  # a one-character scan; searching for "\r\n" costs far more
+            text = text.replace(brk, "\n")
     return "\n" + text
 
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .discretizer import Cell, OccupancyGrid, whole_number
+from .discretizer import Cell, OccupancyGrid, index_triples, json_list, json_triple
 from .errors import EmptyAssembly, SchemaError, SequenceGridMismatch, Unsequenceable
 
 FACE_NEIGHBORS: tuple[Cell, ...] = (
@@ -37,26 +37,21 @@ class AssemblySequence:
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(int(c) for c in cell) for cell in self.cells)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", index_triples(self.cells))
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def to_json(self) -> bytes:
-        obj = {"cells": [list(c) for c in self.cells]}
-        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        cells = json_list(map(json_triple(4).__mod__, self.cells), 2)
+        return f'{{\n  "cells": {cells}\n}}\n'.encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "AssemblySequence":
         try:
-            obj = json.loads(data)
-            cells = tuple(tuple(map(whole_number, cell)) for cell in obj["cells"])
-            if any(len(cell) != 3 for cell in cells):
-                raise ValueError("cells must be index triples")
+            return cls(json.loads(data)["cells"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"not a valid sequence document: {exc}") from exc
-        return cls(cells)
 
 
 def naive_sort(grid: OccupancyGrid) -> AssemblySequence:

@@ -11,9 +11,10 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .config import DEFAULT_DWELL_S, AssemblyConfig
-from .discretizer import OccupancyGrid, real_number
+from .discretizer import OccupancyGrid, json_list, json_triple, real_number
 from .errors import ConfigViolation, SchemaError
 from .sequencer import AssemblySequence, require_coverage
 
@@ -62,9 +63,7 @@ class Command:
         if self.op is CommandOp.MOVE:
             if self.xyz_mm is None or len(self.xyz_mm) != 3:
                 raise ValueError("move command needs an xyz_mm triple")
-            object.__setattr__(
-                self, "xyz_mm", tuple(float(v) for v in self.xyz_mm)
-            )
+            object.__setattr__(self, "xyz_mm", tuple(map(float, self.xyz_mm)))
         elif self.xyz_mm is not None:
             raise ValueError(f"{self.op.value} command takes no coordinates")
 
@@ -101,22 +100,22 @@ def plan_toolpath(
     ox, oy, oz = grid.spec.origin
     sx, sy, sz = (v * CM_TO_MM for v in config.source)
     plane = config.movement_plane_z * CM_TO_MM
-
-    commands: list[Command] = [move(sx, sy, plane)]
-    for i, j, k in seq.cells:
-        tx = (ox + (i + 0.5) * cell) * CM_TO_MM
-        ty = (oy + (j + 0.5) * cell) * CM_TO_MM
-        tz = (oz + (k + 1) * cell + config.tool_offset_z) * CM_TO_MM
-        commands.append(move(sx, sy, plane))
-        commands.append(move(sx, sy, sz))
-        commands.append(Command(CommandOp.GRIP))
-        commands.append(move(sx, sy, plane))
-        commands.append(move(tx, ty, plane))
-        commands.append(move(tx, ty, tz))
-        commands.append(Command(CommandOp.RELEASE))
-        commands.append(move(tx, ty, plane))
-    if not all(math.isfinite(v) for c in commands if c.xyz_mm for v in c.xyz_mm):
+    targets = [
+        ((ox + (i + 0.5) * cell) * CM_TO_MM, (oy + (j + 0.5) * cell) * CM_TO_MM,
+         (oz + (k + 1) * cell + config.tool_offset_z) * CM_TO_MM)
+        for i, j, k in seq.cells
+    ]
+    if not all(map(math.isfinite, chain((sx, sy, sz, plane), *targets))):
         raise ConfigViolation("a toolpath coordinate is not finite in mm")
+    # every cycle shares its source moves, grip and release; a target's
+    # plane move serves both of its legs
+    above_source = move(sx, sy, plane)
+    fetch = (above_source, move(sx, sy, sz), Command(CommandOp.GRIP), above_source)
+    release = Command(CommandOp.RELEASE)
+    commands: list[Command] = [above_source]
+    for tx, ty, tz in targets:
+        above = move(tx, ty, plane)
+        commands += (*fetch, above, move(tx, ty, tz), release, above)
     return Toolpath(tuple(commands), params)
 
 
@@ -219,11 +218,8 @@ def calibration_schedule(
 # toolpath.json is json.dumps(document, indent=2) + "\n", byte for byte. With
 # an indent that encoder runs in pure Python, and this is the largest
 # artifact, so each command fills one of these fixed layouts instead.
-_MOVE_JSON = (
-    '    {\n      "op": "move",\n      "xyz_mm": [\n'
-    "        %s,\n        %s,\n        %s\n      ]\n    }"
-)
-_OP_JSON = '    {\n      "op": "%s"\n    }'
+_MOVE_JSON = '{\n      "op": "move",\n      "xyz_mm": ' + json_triple(6) + "\n    }"
+_OP_JSON = '{\n      "op": "%s"\n    }'
 
 
 def _json_number(value) -> str:
@@ -231,16 +227,25 @@ def _json_number(value) -> str:
     return repr(value) if type(value) is float and math.isfinite(value) else json.dumps(value)
 
 
+def _each_rendered(commands: tuple[Command, ...], render) -> map:
+    """``map(render, commands)``, calling ``render`` once per distinct command
+    object. Keyed by ``id``, not equality: 0.0 == -0.0, but they print differently."""
+    text = {key: render(c) for key, c in dict(zip(map(id, commands), commands)).items()}
+    return map(text.__getitem__, map(id, commands))
+
+
+def _command_json(command: Command) -> str:
+    xyz = command.xyz_mm  # floats, which print as json.dumps prints them when finite
+    if xyz is None:
+        return _OP_JSON % command.op.value
+    return _MOVE_JSON % (xyz if all(map(math.isfinite, xyz)) else tuple(map(_json_number, xyz)))
+
+
 def emit_toolpath(path: Toolpath, fmt: str = "json") -> bytes:
     """Serialize as canonical JSON or as a line-oriented robot script, whose
     three-decimal motion limits must read back within 1 % (else ConfigViolation)."""
     if fmt == "json":
-        commands = ",\n".join(
-            _MOVE_JSON % tuple(map(_json_number, c.xyz_mm))
-            if c.op is CommandOp.MOVE else _OP_JSON % c.op.value
-            for c in path.commands
-        )
-        commands = f"[\n{commands}\n  ]" if commands else "[]"
+        commands = json_list(_each_rendered(path.commands, _command_json), 2)
         v, a = map(_json_number, (path.params.velocity, path.params.acceleration))
         return (
             f'{{\n  "params": {{\n    "velocity": {v},\n    "acceleration": {a}\n  }},\n'
@@ -254,14 +259,14 @@ def emit_toolpath(path: Toolpath, fmt: str = "json") -> bytes:
                     f"the robot script states the motion limit {limit!r} as {text}, "
                     "more than 1 % off"
                 )
-        lines = []
-        for command in path.commands:
+
+        def line(command: Command) -> str:
             if command.op is CommandOp.MOVE:
                 x, y, z = command.xyz_mm
-                lines.append(f"MOVE {x:.3f} {y:.3f} {z:.3f} {v} {a}")
-            else:
-                lines.append(command.op.value.upper())
-        return ("\n".join(lines) + "\n").encode("ascii")
+                return f"MOVE {x:.3f} {y:.3f} {z:.3f} {v} {a}"
+            return command.op.value.upper()
+
+        return ("\n".join(_each_rendered(path.commands, line)) + "\n").encode("ascii")
     raise ValueError(f"unknown toolpath format {fmt!r}")
 
 

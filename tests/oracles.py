@@ -6,13 +6,15 @@ loops of ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer
 overhang search, run-list stack rule, full-voxelize rescale loop and rewrite
 orchestration and column-scan build replay of ``blockplan.feasibility``,
 the all-pairs distance sort of ``blockplan.sequencer``, the
-``json.dumps(indent=2)`` toolpath writer of ``blockplan.toolpath``, and the
-restart loop that strips request scaffolding in ``blockplan.frontend``.
+``json.dumps(indent=2)`` writers of every JSON artifact and the per-value
+grid and sequence readers, and the restart loop that strips request
+scaffolding in ``blockplan.frontend``.
 The randomized equivalence tests require the current implementations to
 reproduce them exactly: same parsed meshes and parse errors, repaired
 vertices, triangles and repair summary, occupied cells, check details,
 rewritten and rescaled grids, placement orders, errors, simulation reports,
-toolpath bytes and stripped request phrases. The voxelizer has two
+artifact bytes, read documents and reader errors, and stripped request
+phrases. The voxelizer has two
 interior tests here: the even-odd parity ray it used on closed meshes, and
 a per-cell generalized winding number that holds on every mesh.
 The weld oracle needs scipy, which is a test-only dependency.
@@ -27,7 +29,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from blockplan import discretizer, mesh_io
-from blockplan.discretizer import SAT_EPSILON, Cell, GridSpec, OccupancyGrid, build_grid
+from blockplan.discretizer import (
+    SAT_EPSILON,
+    Cell,
+    GridSpec,
+    OccupancyGrid,
+    build_grid,
+    real_number,
+    whole_number,
+)
 from blockplan.config import AssemblyConfig
 from blockplan.errors import (
     BlockplanError,
@@ -35,6 +45,7 @@ from blockplan.errors import (
     EmptyAfterModification,
     EmptyAssembly,
     MalformedFile,
+    SchemaError,
     Unsequenceable,
 )
 from blockplan.feasibility import (
@@ -669,7 +680,78 @@ def simulate_assembly(seq: AssemblySequence, grid: OccupancyGrid, config) -> Sim
     return SimulationReport(first_failure is None, tuple(steps), first_failure)
 
 
-# --- toolpath ----------------------------------------------------------------
+# --- artifacts ----------------------------------------------------------------
+
+
+def canonical_json(document) -> bytes:
+    """The layout every JSON artifact keeps, from the standard library's
+    indenting encoder."""
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+
+def grid_json(grid: OccupancyGrid) -> bytes:
+    return canonical_json({
+        "cell_size_cm": float(grid.spec.cell_size),
+        "origin_cm": [float(v) for v in grid.spec.origin],
+        "dims": [int(d) for d in grid.spec.dims],
+        "occupied": [list(c) for c in sorted(grid.occupied)],
+    })
+
+
+def sequence_json(seq: AssemblySequence) -> bytes:
+    return canonical_json({"cells": [list(c) for c in seq.cells]})
+
+
+def simulation_json(report: SimulationReport) -> bytes:
+    return canonical_json({
+        "ok": report.ok,
+        "first_failure": report.first_failure,
+        "steps": [
+            {
+                "cell": list(step.cell),
+                "supported": step.supported,
+                "corridor_clear": step.corridor_clear,
+                "plane_clear": step.plane_clear,
+            }
+            for step in report.steps
+        ],
+    })
+
+
+def grid_from_json(data: bytes | str) -> OccupancyGrid:
+    """``OccupancyGrid.from_json`` checking each index on its own, with the
+    constructor's per-cell range check."""
+    try:
+        obj = json.loads(data)
+        spec = GridSpec(
+            origin=tuple(map(real_number, obj["origin_cm"])),
+            cell_size=real_number(obj["cell_size_cm"]),
+            dims=tuple(map(whole_number, obj["dims"])),
+        )
+        occupied = frozenset(tuple(map(whole_number, cell)) for cell in obj["occupied"])
+        if len(spec.origin) != 3 or len(spec.dims) != 3:
+            raise ValueError("origin_cm and dims must have 3 entries")
+        if any(len(cell) != 3 for cell in obj["occupied"]):
+            raise ValueError("occupied cells must be index triples")
+        occupied = frozenset(tuple(int(c) for c in cell) for cell in occupied)
+        for cell in occupied:
+            if not spec.contains(cell):
+                raise ValueError(f"cell {cell} outside grid dims {spec.dims}")
+        return OccupancyGrid(spec, occupied)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise SchemaError(f"not a valid occupancy grid document: {exc}") from exc
+
+
+def sequence_from_json(data: bytes | str) -> AssemblySequence:
+    """``AssemblySequence.from_json`` checking each index on its own."""
+    try:
+        obj = json.loads(data)
+        cells = tuple(tuple(map(whole_number, cell)) for cell in obj["cells"])
+        if any(len(cell) != 3 for cell in cells):
+            raise ValueError("cells must be index triples")
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise SchemaError(f"not a valid sequence document: {exc}") from exc
+    return AssemblySequence(cells)
 
 
 def emit_toolpath_json(path: Toolpath) -> bytes:
@@ -686,7 +768,7 @@ def emit_toolpath_json(path: Toolpath) -> bytes:
             for c in path.commands
         ],
     }
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    return canonical_json(obj)
 
 
 # --- request filter ------------------------------------------------------------

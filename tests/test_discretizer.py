@@ -1,6 +1,7 @@
 """Workspace fitting, grid construction, and voxelization."""
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,36 @@ def test_voxelize_is_deterministic():
 def test_grid_rejects_out_of_range_cells():
     with pytest.raises(ValueError):
         OccupancyGrid(GridSpec((0.0, 0.0, 0.0), 10.0, (2, 2, 2)), frozenset({(2, 0, 0)}))
+
+
+_BAD_CELLS = [
+    ((1, 1), "occupied cells must be index triples"),
+    ((1, 1, 1, 1), "occupied cells must be index triples"),
+    ((1.7, 0, 0), "1.7 is not a whole number"),
+    ((True, 0, 0), "True is not a whole number"),
+    ((np.bool_(True), 0, 0), "True_ is not a whole number"),
+    (("1", 0, 0), "'1' is not a whole number"),
+    ((float("inf"), 0, 0), "cannot convert float infinity to integer"),
+    (5, "'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("cell, message", _BAD_CELLS)
+def test_grid_cells_must_be_three_whole_numbers(cell, message):
+    # a pair used to build, and connectivity_sort then failed with an IndexError;
+    # 1.7 used to become 1
+    spec = GridSpec((0.0, 0.0, 0.0), 10.0, (2, 2, 2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OccupancyGrid(spec, [(0, 0, 0), cell])
+
+
+def test_grid_cells_may_be_numpy_integers_and_whole_floats():
+    spec = GridSpec((0.0, 0.0, 0.0), 10.0, (2, 2, 2))
+    cells = [(np.int64(1), np.int32(0), np.uint8(1)), np.array([0, 1, 0]),
+             [1.0, 1, np.float64(1.0)]]
+    grid = OccupancyGrid(spec, cells)
+    assert grid.occupied == {(1, 0, 1), (0, 1, 0), (1, 1, 1)}
+    assert {type(v) for cell in grid.occupied for v in cell} == {int}
 
 
 def test_grid_json_round_trip(grid_factory):

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -51,12 +52,13 @@ from blockplan.discretizer import (
     fit_to_workspace,
     voxelize,
 )
-from blockplan.errors import BlockplanError, CannotFit, MalformedFile
+from blockplan.errors import BlockplanError, CannotFit, MalformedFile, SchemaError
 from blockplan.frontend import _SCAFFOLD, _SCAFFOLD_PREFIXES
 from blockplan.feasibility import (
     check_overhang,
     check_sequence_connectivity,
     check_vertical_stack,
+    SimulationReport,
     remove_overhangs,
     rescale_until_fits,
     run_feasibility,
@@ -87,6 +89,16 @@ from blockplan.shapes import (
     shelf_mesh,
     table_mesh,
     tee_mesh,
+)
+from blockplan.toolpath import (
+    Command,
+    CommandOp,
+    MotionParams,
+    Toolpath,
+    emit_toolpath,
+    move,
+    parse_toolpath,
+    plan_toolpath,
 )
 from tests import oracles
 
@@ -634,6 +646,133 @@ def test_simulation_matches_column_scan_oracle():
                 passes += report.ok
                 failures += not report.ok
     assert passes >= 100 and failures >= 100
+
+
+# --- artifact writers and readers ----------------------------------------------
+
+
+def moved(grid: OccupancyGrid, rng: np.random.Generator) -> OccupancyGrid:
+    """``grid`` at a random origin and cell size, so floats of every length
+    (and a signed zero) reach the writers."""
+    choices = (rng.uniform(-50.0, 50.0), -0.0, 1e-7, 12.5)
+    origin = tuple(float(rng.choice(choices)) for _ in range(3))
+    return OccupancyGrid(GridSpec(origin, float(rng.uniform(0.5, 20.0)), grid.spec.dims),
+                         grid.occupied)
+
+
+def test_artifact_writers_match_the_json_module():
+    rng = np.random.default_rng(37)
+    flags = set()
+    for _ in range(200):
+        grid = moved(random_grid(rng), rng)
+        assert grid.to_json() == oracles.grid_json(grid)
+        cells = sorted(grid.occupied)
+        order = AssemblySequence(tuple(cells[n] for n in rng.permutation(len(cells))))
+        assert order.to_json() == oracles.sequence_json(order)
+        if not cells:
+            continue
+        for plane in (65.0, 20.0):
+            report = simulate_assembly(order, grid, AssemblyConfig(movement_plane_z=plane))
+            assert report.to_json() == oracles.simulation_json(report)
+            flags |= {(report.first_failure is None, *astuple(step)[1:]) for step in report.steps}
+    # a null and an int first failure, and each flag false somewhere
+    assert {f[0] for f in flags} == {True, False}
+    assert all({f[n] for f in flags} == {True, False} for n in range(1, 4))
+
+
+def test_artifact_writers_match_the_json_module_on_empty_lists():
+    grid = OccupancyGrid(GridSpec((0.0, -0.0, 1.5), 10.0, (1, 2, 3)), frozenset())
+    assert grid.to_json() == oracles.grid_json(grid)
+    assert AssemblySequence(()).to_json() == oracles.sequence_json(AssemblySequence(()))
+    report = SimulationReport(True, (), None)
+    assert report.to_json() == oracles.simulation_json(report)
+    path = Toolpath((), MotionParams(2.0, 1.0))
+    assert emit_toolpath(path) == oracles.emit_toolpath_json(path)
+
+
+def test_toolpath_writers_print_each_signed_zero_as_itself():
+    # the two moves are equal (0.0 == -0.0) but print differently, and each repeats
+    zero, negative = move(0.0, 0.0, 0.0), move(-0.0, -0.0, -0.0)
+    assert zero == negative
+    grip = Command(CommandOp.GRIP)
+    path = Toolpath((zero, negative, grip, negative, zero, grip), MotionParams(2.0, 1.0))
+    assert emit_toolpath(path) == oracles.emit_toolpath_json(path)
+    script = emit_toolpath(path, "robot_script").decode().splitlines()
+    assert script == [
+        "MOVE 0.000 0.000 0.000 2.000 1.000", "MOVE -0.000 -0.000 -0.000 2.000 1.000", "GRIP",
+        "MOVE -0.000 -0.000 -0.000 2.000 1.000", "MOVE 0.000 0.000 0.000 2.000 1.000", "GRIP",
+    ]
+    assert emit_toolpath(parse_toolpath(emit_toolpath(path))) == emit_toolpath(path)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_planned_toolpath_round_trips_through_the_json_module(seed):
+    rng = np.random.default_rng([seed, 41])
+    grid = random_grid(rng)
+    while check_overhang(grid, 0).failed or not grid.occupied:
+        grid = remove_overhangs(random_grid(rng), 0)
+    grid = OccupancyGrid(GridSpec((0.0, -0.0, 0.0), 5.0, grid.spec.dims), grid.occupied)
+    path = plan_toolpath(connectivity_sort(grid), grid, AssemblyConfig(), MotionParams(2.0, 1.0))
+    emitted = emit_toolpath(path)
+    assert emitted == oracles.emit_toolpath_json(path)
+    parsed = parse_toolpath(emitted)  # every command its own object
+    assert parsed == path and emit_toolpath(parsed) == emitted
+    for fmt in ("json", "robot_script"):
+        assert emit_toolpath(parsed, fmt) == emit_toolpath(path, fmt)
+
+
+_BASE_GRID = {"cell_size_cm": 10.0, "origin_cm": [0, 0, 0], "dims": [3, 3, 3]}
+# each is the grid's occupied list and the sequence's cells
+_CELL_LISTS = {
+    "valid": [[0, 1, 2], [2, 2, 2], [1, 0, 0]],
+    "empty": [],
+    "true": [[0, 0, 0], [True, 0, 0]],
+    "false-last": [[0, 0, 0], [1, 1, False]],
+    "fraction": [[1.5, 0, 0]],
+    "whole-float": [[2.0, 0, 0], [0, 2.0, 1]],
+    "string": [[0, "3", 0]],
+    "string-cell": ["abc"],
+    "empty-string-cell": [""],
+    "nested": [[[0], 0, 0]],
+    "nested-cell": [[[0, 0, 0]]],
+    "pair": [[0, 0], [1, 1, 1]],
+    "quad": [[0, 0, 0, 0]],
+    "pair-then-true": [[0, 0], [True, 1, 1]],
+    "int-cell": [[0, 0, 0], 5],
+    "null-cell": [None],
+    "null": None,
+    "number": 7,
+    "string-list": "abc",
+    "dict": {"abc": 1},
+    "empty-dict": {},
+    "dict-cell": [{"a": 1, "b": 2, "c": 3}],
+    "huge": [[10**400, 0, 0]],
+    "negative": [[0, -1, 0]],
+    "outside": [[5, 0, 0], [0, 7, 0], [0, 0, 9], [4, 4, 4], [1, 1, 1]],
+    "infinity": "[[1e400, 0, 0]]",
+    "nan": "[[NaN, 0, 0]]",
+}
+
+
+def read_outcome(read, data: str):
+    try:
+        return read(data)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(_CELL_LISTS))
+def test_bulk_readers_match_the_per_value_readers(case):
+    cells = _CELL_LISTS[case]
+    text = cells if case in ("infinity", "nan") else json.dumps(cells)
+    grid = json.dumps(_BASE_GRID)[:-1] + f', "occupied": {text}}}'
+    sequence = f'{{"cells": {text}}}'
+    outcomes = [read_outcome(OccupancyGrid.from_json, grid),
+                read_outcome(AssemblySequence.from_json, sequence)]
+    assert outcomes == [read_outcome(oracles.grid_from_json, grid),
+                        read_outcome(oracles.sequence_from_json, sequence)]
+    if case in ("valid", "whole-float", "empty", "empty-dict"):
+        assert not any(isinstance(outcome, str) for outcome in outcomes)
 
 
 # --- parsing -------------------------------------------------------------------

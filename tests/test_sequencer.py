@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
+import numpy as np
 import pytest
 
 from blockplan.errors import (
@@ -41,6 +43,27 @@ def independently_connected(seq: AssemblySequence) -> bool:
                 return False
         placed.add((i, j, k))
     return True
+
+
+# --- sequence cells -------------------------------------------------------
+
+
+@pytest.mark.parametrize("cell, message", [
+    ((1, 1), "cells must be index triples"),
+    ((1.7, 0, 0), "1.7 is not a whole number"),
+    ((0, False, 0), "False is not a whole number"),
+    ((0, 0, "2"), "'2' is not a whole number"),
+    (None, "'NoneType' object is not iterable"),
+])
+def test_sequence_cells_must_be_three_whole_numbers(cell, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AssemblySequence(((0, 0, 0), cell))
+
+
+def test_sequence_cells_may_be_numpy_integers_and_whole_floats():
+    seq = AssemblySequence(((np.int64(2), 0, np.uint16(1)), [1.0, 0, 0], np.array([0, 0, 0])))
+    assert seq.cells == ((2, 0, 1), (1, 0, 0), (0, 0, 0))
+    assert {type(v) for cell in seq.cells for v in cell} == {int}
 
 
 # --- naive sort ----------------------------------------------------------
