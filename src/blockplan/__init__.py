@@ -40,7 +40,6 @@ from .errors import (
 from .feasibility import (
     CheckKind,
     CheckResult,
-    CheckStatus,
     FeasibilityReport,
     PlacementStep,
     SimulationReport,
@@ -71,7 +70,6 @@ from .mesh_io import (
     RepairSummary,
     TriangleMesh,
     bounding_box,
-    is_manifold,
     parse_mesh,
     repair_mesh,
     serialize_mesh,
@@ -103,7 +101,6 @@ __all__ = [
     "CannotFit",
     "CheckKind",
     "CheckResult",
-    "CheckStatus",
     "ClientUnavailable",
     "Command",
     "CommandOp",
@@ -148,7 +145,6 @@ __all__ = [
     "fallback_filter",
     "filter_request",
     "fit_to_workspace",
-    "is_manifold",
     "naive_sort",
     "parse_mesh",
     "parse_toolpath",

@@ -171,7 +171,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
         f"grid:         {grid.spec.dims[0]} x {grid.spec.dims[1]} x "
         f"{grid.spec.dims[2]} cells of {grid.spec.cell_size!r} cm",
         "checks (pre-handling): "
-        + " ".join(f"{r.check.value}={r.status.value}" for r in report.results),
+        + " ".join(f"{r.check.value}={r.status}" for r in report.results),
         f"modifications: {[m['action'] for m in report.modifications]}",
         f"components:   {report.final_component_count}",
         f"sequence:     {len(seq)} placements",
@@ -199,7 +199,7 @@ def _cmd_check(args: argparse.Namespace, cfg: AssemblyConfig) -> None:
     out_dir = Path(args.out_dir)
     _write(out_dir, "grid.json", grid.to_json())
     path = _write(out_dir, "report.json", report.to_json())
-    statuses = " ".join(f"{r.check.value}={r.status.value}" for r in report.results)
+    statuses = " ".join(f"{r.check.value}={r.status}" for r in report.results)
     print(f"{statuses} -> {path}")
 
 

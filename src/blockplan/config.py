@@ -57,6 +57,8 @@ class AssemblyConfig:
             # NaN passes every range check below, so reject it first
             if any(isinstance(v, float) and math.isnan(v) for v in values):
                 raise ValueError(f"{f.name} must not be NaN")
+        if len(self.workspace) != 3 or len(self.source) != 3:
+            raise ValueError("workspace and source must have 3 entries")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
         if any(e < self.cell_size for e in self.workspace):
@@ -81,6 +83,10 @@ class AssemblyConfig:
             raise ValueError("mesh_unit_scale must be positive")
         if self.max_upscale is not None and self.max_upscale <= 0:
             raise ValueError("max_upscale must be positive or null")
+
+    def plane_clears(self, height: float) -> bool:
+        """Whether the movement plane clears ``height`` cm by ``clearance``."""
+        return self.movement_plane_z >= height + self.clearance - 1e-9
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "AssemblyConfig":
@@ -111,9 +117,7 @@ def _convert(kind: str, value):
     if value is None and kind.endswith("| None"):
         return None
     if kind == "tuple[float, float, float]":
-        if not isinstance(value, (list, tuple)) or len(value) != 3:
-            raise ValueError("needs a 3-element list")
-        return tuple(map(real_number, value))
+        return tuple(map(real_number, value))  # the config checks the length
     if kind == "int":
         return whole_number(value)
     return real_number(value)

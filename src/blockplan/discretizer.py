@@ -40,6 +40,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.cell_size > 0:  # NaN fails too
             raise ValueError("cell_size must be positive")
+        if len(self.origin) != 3 or len(self.dims) != 3:
+            raise ValueError("grid origin and dims must have 3 entries")
         if any(int(d) < 1 for d in self.dims):
             raise ValueError("grid dims must be at least 1 per axis")
         far = (o + d * self.cell_size for o, d in zip(self.origin, self.dims))
@@ -66,7 +68,7 @@ class OccupancyGrid:
         values = list(chain.from_iterable(cells))
         axes = zip((values[axis::3] for axis in range(3)), self.spec.dims)
         if cells and not all(0 <= min(v) and max(v) < d for v, d in axes):
-            bad = next(c for c in occupied if not self.spec.contains(c))
+            bad = next(c for c in cells if not self.spec.contains(c))
             raise ValueError(f"cell {bad} outside grid dims {self.spec.dims}")
         object.__setattr__(self, "occupied", occupied)
 
@@ -89,10 +91,7 @@ class OccupancyGrid:
                 cell_size=real_number(obj["cell_size_cm"]),
                 dims=tuple(map(whole_number, obj["dims"])),
             )
-            occupied = frozenset(index_triples(obj["occupied"], "occupied cells"))
-            if len(spec.origin) != 3 or len(spec.dims) != 3:
-                raise ValueError("origin_cm and dims must have 3 entries")
-            return cls(spec, occupied)
+            return cls(spec, obj["occupied"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"not a valid occupancy grid document: {exc}") from exc
 
@@ -155,8 +154,8 @@ def fit_to_workspace(
     ``max_scale`` (default 1.0: never upscale; pass ``None`` to uncap).
     The bounding-box minimum lands exactly on the origin.
     """
-    if not all(e > 0 for e in workspace):
-        raise ValueError("workspace extents must be positive")
+    if len(workspace) != 3 or not all(e > 0 for e in workspace):
+        raise ValueError("workspace extents must be positive and three in number")
     box = bounding_box(mesh)
     ratios = [ws / ext for ws, ext in zip(workspace, box.extents) if ext > 0.0]
     scale = min(ratios) if ratios else 1.0

@@ -35,25 +35,21 @@ class CheckKind(Enum):
     CONNECTIVITY = "connectivity"
 
 
-class CheckStatus(Enum):
-    PASSED = "passed"
-    FAILED = "failed"
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one feasibility check.
 
     ``details`` lists the offending cells (or, for the count check, the
-    offending component count). The check passed exactly when it is empty.
+    offending component count). The check passed exactly when it is empty;
+    ``status`` is then "passed", else "failed", as the report prints it.
     """
 
     check: CheckKind
     details: tuple = ()
 
     @property
-    def status(self) -> CheckStatus:
-        return CheckStatus.FAILED if self.details else CheckStatus.PASSED
+    def status(self) -> str:
+        return "failed" if self.details else "passed"
 
     @property
     def passed(self) -> bool:
@@ -79,7 +75,7 @@ class FeasibilityReport:
 
     def to_json(self) -> bytes:
         obj = {
-            "checks": {r.check.value: r.status.value for r in self.results},
+            "checks": {r.check.value: r.status for r in self.results},
             "modifications": list(self.modifications),
             "final_component_count": self.final_component_count,
         }
@@ -358,8 +354,7 @@ def simulate_assembly(
     for cell, supported, corridor_clear in _replay(seq, grid):
         top_k = max(top_k, cell[2])
         top_z = grid.spec.origin[2] + (top_k + 1) * grid.spec.cell_size
-        plane_clear = config.movement_plane_z >= top_z + config.clearance - 1e-9
-        steps.append(PlacementStep(cell, supported, corridor_clear, plane_clear))
+        steps.append(PlacementStep(cell, supported, corridor_clear, config.plane_clears(top_z)))
     first_failure = next((n for n, s in enumerate(steps) if not s.ok), None)
     return SimulationReport(first_failure is None, tuple(steps), first_failure)
 

@@ -456,8 +456,8 @@ def _weld(
 def _close_pairs(verts: np.ndarray, tolerance: float) -> tuple[np.ndarray, ...]:
     """Each vertex's head, and the head pairs at squared distance at most ``tolerance**2``.
 
-    Exact copies next to each other in sorted order fold onto the first of
-    their run, its head, the smallest index of the run; only heads are
+    Vertices sort by cell key, then by coordinates, so exact copies form one
+    run and fold onto its first, smallest index, their head; only heads are
     searched. A spatial hash: cells are at least twice the tolerance wide, so
     a close pair shares a cell or sits in face/edge/corner-adjacent cells.
     Each unordered pair of occupied cells is visited once, through the own
@@ -470,8 +470,7 @@ def _close_pairs(verts: np.ndarray, tolerance: float) -> tuple[np.ndarray, ...]:
     size = max(2.0 * tolerance, float((hi / limit - lo / limit).max()))
     cells = np.fmin(np.floor((verts - lo) / size), limit).astype(np.int64) + 1
     keys = (cells[:, 0] * _WELD_RADIX + cells[:, 1]) * _WELD_RADIX + cells[:, 2]
-    order = np.argsort(keys, kind="stable")
-    # equal coordinates give equal keys, so a stable sort puts copies in one key run
+    order = np.lexsort((verts[:, 2], verts[:, 1], verts[:, 0], keys))
     ordered = verts[order]
     moved = ordered[1:] != ordered[:-1]
     head = np.r_[True, moved[:, 0] | moved[:, 1] | moved[:, 2]]
@@ -596,11 +595,3 @@ def _unify_windings(tris: np.ndarray) -> tuple[np.ndarray, int, bool]:
     tris = tris.copy()
     tris[flip_mask] = tris[flip_mask, ::-1]
     return tris, int(flip_mask.sum()), manifold
-
-
-def is_manifold(mesh: TriangleMesh) -> bool:
-    """Closed 2-manifold test: every edge belongs to exactly two triangles."""
-    if mesh.repair is not None:
-        return mesh.repair.manifold
-    tris = np.asarray(mesh.triangles)
-    return len(tris) > 0 and bool((_edge_groups(tris)[2] == 2).all())

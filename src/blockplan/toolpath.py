@@ -125,7 +125,7 @@ def _validate_config(grid: OccupancyGrid, config: AssemblyConfig) -> None:
     top = oz + (max(k for _i, _j, k in grid.occupied) + 1) * cell
     # the plane clears the workspace and the finished structure, as in the replay
     for name, height in (("workspace", config.workspace[2]), ("structure's top", top)):
-        if config.movement_plane_z < height + config.clearance - 1e-9:
+        if not config.plane_clears(height):
             raise ConfigViolation(
                 f"movement plane at {config.movement_plane_z} cm is below the "
                 f"{name} at {height} cm plus clearance ({config.clearance} cm)"
@@ -197,6 +197,8 @@ def calibration_schedule(
     Defaults yield the eight-point schedule used to find the fastest
     reliable operating point; ordering is by velocity, then ratio.
     """
+    if not all(map(math.isfinite, (start_velocity, increment, max_velocity))):
+        raise ValueError("start_velocity, increment and max_velocity must be finite")
     if increment <= 0:
         raise ValueError("increment must be positive")
     if start_velocity > max_velocity:

@@ -66,7 +66,6 @@ from blockplan.mesh_io import (
     TriangleMesh,
     bounding_box,
     finite_extent,
-    is_manifold,
 )
 from blockplan.sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
 from blockplan.toolpath import CommandOp, Toolpath
@@ -310,7 +309,8 @@ def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
     parity ray per free cell. On a closed mesh without overlapping parts
     this is the winding-number contract; elsewhere it leaves a shell or
     holes."""
-    return _voxelize(mesh, spec, point_inside if is_manifold(mesh) else None)
+    closed = is_manifold_triangles(mesh.triangles)
+    return _voxelize(mesh, spec, point_inside if closed else None)
 
 
 def winding_voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
@@ -728,16 +728,13 @@ def grid_from_json(data: bytes | str) -> OccupancyGrid:
             cell_size=real_number(obj["cell_size_cm"]),
             dims=tuple(map(whole_number, obj["dims"])),
         )
-        occupied = frozenset(tuple(map(whole_number, cell)) for cell in obj["occupied"])
-        if len(spec.origin) != 3 or len(spec.dims) != 3:
-            raise ValueError("origin_cm and dims must have 3 entries")
+        occupied = [tuple(map(whole_number, cell)) for cell in obj["occupied"]]
         if any(len(cell) != 3 for cell in obj["occupied"]):
             raise ValueError("occupied cells must be index triples")
-        occupied = frozenset(tuple(int(c) for c in cell) for cell in occupied)
-        for cell in occupied:
+        for cell in occupied:  # the first offender in document order
             if not spec.contains(cell):
                 raise ValueError(f"cell {cell} outside grid dims {spec.dims}")
-        return OccupancyGrid(spec, occupied)
+        return OccupancyGrid(spec, frozenset(occupied))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"not a valid occupancy grid document: {exc}") from exc
 

@@ -725,6 +725,18 @@ def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override", ["source=[1,2]", "workspace=[60,50]", "source=[]"])
+def test_set_refuses_a_triple_of_the_wrong_length(demo_mesh_files, tmp_path, capsys, override):
+    # AssemblyConfig itself refuses the length, as it does for library callers
+    code = main([
+        "pipeline", "--mesh", demo_mesh_files["table"],
+        "--set", override, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == SchemaError.exit_code
+    assert "workspace and source must have 3 entries" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_rejects_bad_values(demo_mesh_files, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"inventory": 0}))

@@ -1,6 +1,7 @@
 """Workspace fitting, grid construction, and voxelization."""
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -97,6 +98,20 @@ def test_fit_empty_mesh():
 def test_fit_refuses_a_workspace_without_positive_extents(workspace):
     with pytest.raises(ValueError, match="workspace extents must be positive"):
         fit_to_workspace(tee_mesh(), workspace)
+
+
+@pytest.mark.parametrize("call", [
+    # a box 500 cm tall would be left unscaled in a workspace with no height
+    lambda: fit_to_workspace(box_mesh((0, 0, 0), (10, 10, 500)), (60.0, 50.0)),
+    # a two-entry grid would take the cell (0, 0, 7) and fail to write it
+    lambda: GridSpec((0.0, 0.0), 10.0, (2, 2)),
+    # a two-entry source would reach planning and fail there with an IndexError
+    lambda: AssemblyConfig(source=(-15.0, -15.0)),
+    lambda: AssemblyConfig(workspace=(60.0, 50.0, 60.0, 1.0)),
+], ids=["fit", "grid", "source", "workspace"])
+def test_triples_of_the_wrong_length_are_refused(call):
+    with pytest.raises(ValueError, match="3 entries|three in number"):
+        call()
 
 
 # --- build_grid -----------------------------------------------------------------
@@ -275,6 +290,13 @@ def test_voxelize_is_deterministic():
 def test_grid_rejects_out_of_range_cells():
     with pytest.raises(ValueError):
         OccupancyGrid(GridSpec((0.0, 0.0, 0.0), 10.0, (2, 2, 2)), frozenset({(2, 0, 0)}))
+
+
+def test_grid_document_names_its_first_outside_cell():
+    doc = {"cell_size_cm": 10.0, "origin_cm": [0, 0, 0], "dims": [3, 3, 3],
+           "occupied": [[0, 0, 0], [5, 0, 0], [0, 7, 0]]}
+    with pytest.raises(SchemaError, match=re.escape("cell (5, 0, 0) outside grid dims (3, 3, 3)")):
+        OccupancyGrid.from_json(json.dumps(doc))
 
 
 _BAD_CELLS = [

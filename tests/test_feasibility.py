@@ -13,7 +13,6 @@ from blockplan.config import AssemblyConfig
 from blockplan.discretizer import build_grid, voxelize
 from blockplan.errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from blockplan.feasibility import (
-    CheckStatus,
     FeasibilityReport,
     check_component_count,
     check_overhang,
@@ -242,7 +241,7 @@ def test_rescale_raises_when_design_cannot_shrink():
 
 
 def statuses(report: FeasibilityReport) -> tuple[str, ...]:
-    return tuple(r.status.value for r in report.results)
+    return tuple(r.status for r in report.results)
 
 
 def test_orchestrator_oversized_block(demo_meshes, config):
@@ -382,6 +381,6 @@ def test_report_json_document(demo_meshes, config):
 def test_check_result_status_objects(demo_meshes, config):
     _, report = run_feasibility(demo_meshes["table"], config, failure_handling=False)
     for result in report.results:
-        assert result.passed == (result.status is CheckStatus.PASSED)
+        assert result.passed == (result.status == "passed")
         assert result.failed == (not result.passed)
         assert bool(result.details) == result.failed

@@ -13,7 +13,6 @@ from blockplan.mesh_io import (
     MeshFormat,
     TriangleMesh,
     bounding_box,
-    is_manifold,
     parse_mesh,
     repair_mesh,
     serialize_mesh,
@@ -387,8 +386,7 @@ def test_repair_prunes_unreferenced_vertices():
 def test_manifold_flag_false_for_open_surface():
     cube = repair_mesh(_unwelded_cube())
     open_mesh = TriangleMesh(cube.vertices, cube.triangles[:-1])
-    assert is_manifold(cube) is True
-    assert is_manifold(open_mesh) is False
+    assert cube.repair.manifold is True
     assert repair_mesh(open_mesh).repair.manifold is False
 
 

@@ -228,7 +228,7 @@ def test_plan_clears_the_finished_structure(grid_factory, config, clearance, ref
 def test_every_accepted_plan_clears_the_plane_in_the_replay(config):
     # the planner refuses every plan whose replay flags the movement plane
     rng = random.Random(20)
-    accepted = 0
+    accepted = unclear = 0
     for _ in range(400):
         cells = random_buildable_grid(rng, max_cells=12).occupied
         origin = (0.0, 0.0, rng.uniform(-10.0, 40.0))
@@ -237,13 +237,19 @@ def test_every_accepted_plan_clears_the_plane_in_the_replay(config):
             config, clearance=rng.uniform(0.0, 5.0), tool_offset_z=rng.uniform(-10.0, 5.0)
         )
         seq = connectivity_sort(grid)
+        steps = simulate_assembly(seq, grid, changed).steps
+        if not steps[-1].plane_clear:  # the finished structure is the tallest
+            unclear += 1
+            with pytest.raises(ConfigViolation):
+                plan_toolpath(seq, grid, changed, OPERATING_POINT)
+            continue
         try:
             plan_toolpath(seq, grid, changed, OPERATING_POINT)
         except ConfigViolation:
             continue
         accepted += 1
-        assert all(step.plane_clear for step in simulate_assembly(seq, grid, changed).steps)
-    assert accepted >= 100
+        assert all(step.plane_clear for step in steps)
+    assert accepted >= 100 and unclear >= 10
 
 
 @pytest.mark.parametrize(
@@ -377,6 +383,17 @@ def test_calibration_schedule_rejects_bad_ranges():
         calibration_schedule(increment=0.0)
     with pytest.raises(ValueError):
         calibration_schedule(start_velocity=3.0, max_velocity=2.5)
+
+
+@pytest.mark.parametrize("bounds", [
+    {"max_velocity": math.inf},  # the sweep would never end
+    {"max_velocity": math.nan},
+    {"start_velocity": -math.inf},
+    {"increment": math.inf},
+])
+def test_calibration_schedule_refuses_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="must be finite"):
+        calibration_schedule(**bounds)
 
 
 # --- serialization -----------------------------------------------------------
