@@ -229,6 +229,8 @@ def _mark_surface(
         ny, nz = span[tri, 1], span[tri, 2]
         ijk = lo[tri] + np.stack([local // (ny * nz), local // nz % ny, local % nz], axis=1)
         free = ~filled[tuple(ijk.T)]  # a filled cell needs no test
+        if not free.any():
+            continue
         tri, ijk = tri[free], ijk[free]
         centers = origin + (ijk + 0.5) * cell
         hit = _triangle_box_intersect(coords[tri], centers, cell / 2.0)

@@ -9,8 +9,11 @@ from __future__ import annotations
 import re
 import struct
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +42,7 @@ _STL_VERTEX = re.compile(r"\n[^\S\n]*vertex(?!\S)(.*)", re.I)
 _OBJ_RECORD = re.compile(r"\n[^\S\n]*([vf])(?!\S)(.*)")
 # blank and comment lines, then the first other line and its first token
 _OBJ_FIRST_LINE = re.compile(r"(?:[^\S\n]*(?:#.*)?\n)*[^\S\n]*((\S*).*)")
+_SLASH_TAIL = re.compile(r"/\S*")  # an OBJ face token's rest after its index
 _NO_INDEX = (1 << 63) - 1  # an OBJ face token that is not an integer; out of range
 
 _BINARY_STL_HEADER = 80
@@ -257,24 +261,28 @@ def _parse_obj(data: bytes) -> TriangleMesh:
     bad_v = np.flatnonzero(~is_face)[bad[0]] if bad else len(records)  # the first bad v line
     faces = [body for kind, body in records if kind == "f"]
     sizes = np.fromiter(map(len, map(str.split, faces)), np.int64, len(faces))
-    tokens = " ".join(faces).split()
-    heads = dict.fromkeys(tokens, _NO_INDEX)  # each distinct token's 1-based index
-    for token in heads:
-        try:  # clamped below _NO_INDEX; an index beyond 2**62 is out of range all the same
-            heads[token] = max(-1 << 62, min(int(token.split("/", 1)[0]), 1 << 62))
-        except ValueError:
-            pass
-    raw = np.fromiter(map(heads.__getitem__, tokens), np.int64, len(tokens))
+    joined = " ".join(faces)
+    heads = _SLASH_TAIL.sub("", joined).split()  # "1/2/3" and "1//3" give "1"
+    if len(heads) < sizes.sum():  # a token that starts with "/" left none: its head is ""
+        heads = [token.split("/", 1)[0] for token in joined.split()]
+    try:  # clamped below _NO_INDEX; an index beyond 2**62 is out of range all the same
+        raw = np.clip(np.array(heads, dtype=np.int64), -1 << 62, 1 << 62)
+    except (ValueError, OverflowError):  # a bad head: only now is each one read on its own
+        raw = np.full(len(heads), _NO_INDEX)
+        for k, head in enumerate(heads):
+            with suppress(ValueError):
+                raw[k] = max(-1 << 62, min(int(head), 1 << 62))
     defined = np.repeat(np.cumsum(~is_face)[is_face], sizes)  # vertices before each token's line
     idx = np.where(raw > 0, raw - 1, defined + raw)
     bad_token = (raw == 0) | (idx < 0) | (idx >= defined)
     bad_face = sizes < 3
     bad_face[np.repeat(np.arange(len(faces)), sizes)[bad_token]] = True
     if bad_face.any() and np.flatnonzero(is_face)[face := int(bad_face.argmax())] < bad_v:
-        token = tokens[bad_token.argmax()] if sizes[face] > 2 else ""  # no earlier face has one
+        # a bad token of this face is the first of all: no earlier face has one
+        token = joined.split()[k := int(bad_token.argmax())] if sizes[face] > 2 else ""
         what = ("face needs at least 3 vertices" if not token
-                else f"bad face index {token!r}" if heads[token] == _NO_INDEX
-                else f"face index {int(token.split('/', 1)[0])} out of range" if heads[token]
+                else f"bad face index {token!r}" if raw[k] == _NO_INDEX
+                else f"face index {int(heads[k])} out of range" if raw[k]
                 else "OBJ indices are 1-based, got 0")
         raise _malformed(_OBJ_RECORD, text, np.flatnonzero(is_face)[face], what)
     if bad:
@@ -302,19 +310,24 @@ def _malformed(pattern: re.Pattern, text: str, k: int, what: str) -> MalformedFi
 
 
 def _coordinates(bodies: list[str]) -> tuple[np.ndarray | None, tuple[int, bool] | None]:
-    """Each body's first three tokens as floats, converting each distinct body once; or the
-    first position of a body with fewer tokens or a non-number, and whether it was short."""
+    """Each body's first three tokens as floats, in one numpy conversion over the distinct
+    bodies; or the first position of a body with fewer tokens or a non-number, and whether
+    it was short."""
     rows = dict.fromkeys(bodies)
-    coords = []
-    for body in rows:
-        parts = body.split()
-        try:
-            coords.append((float(parts[0]), float(parts[1]), float(parts[2])))
-        except (IndexError, ValueError):
-            return None, (bodies.index(body), len(parts) < 3)
-        rows[body] = len(coords) - 1
-    gather = np.fromiter(map(rows.__getitem__, bodies), np.int64, len(bodies))
-    return np.array(coords, dtype=np.float64).reshape(-1, 3)[gather], None
+    tokens = list(chain.from_iterable(map(itemgetter(slice(3)), map(str.split, rows))))
+    try:  # a short body leaves too few tokens for the reshape
+        coords = np.array(tokens, dtype=np.float64).reshape(len(rows), 3)
+    except ValueError:  # only now is each body read on its own, to name the first bad one
+        for k, body in enumerate(bodies):
+            parts = body.split()
+            try:
+                float(parts[0]), float(parts[1]), float(parts[2])
+            except (IndexError, ValueError):
+                return None, (k, len(parts) < 3)
+    if len(rows) == len(bodies):  # each body is distinct, so rows keep their order
+        return coords, None
+    rows = dict(zip(rows, range(len(rows))))
+    return coords[np.fromiter(map(rows.__getitem__, bodies), np.int64, len(bodies))], None
 
 
 # --- serialization ---------------------------------------------------------
@@ -533,12 +546,13 @@ def _edge_groups(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed edges grouped by undirected edge.
 
     Directed edge 3t+s runs from ``tris[t, s]`` to the next corner. Returns
-    the stable edge order that puts each undirected edge's directed edges
-    together, and each group's start in that order and its size.
+    an edge order that puts each undirected edge's directed edges together,
+    in no particular order within the group, and each group's start in that
+    order and its size.
     """
     heads, tails = tris.reshape(-1), tris[:, [1, 2, 0]].reshape(-1)
     keys = np.minimum(heads, tails) * (int(tris.max()) + 1) + np.maximum(heads, tails)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
     return order, starts, np.diff(np.r_[starts, len(keys)])

@@ -168,17 +168,17 @@ def estimate_duration(
     a = path.params.acceleration * unit_scale
     if not (v > 0 and a > 0):  # the scaled limits underflowed
         raise ConfigViolation("velocity and acceleration underflow at this motion_unit_scale")
+    # hoisted out of the loop: the same values, and an enum member lookup is
+    # slower than a whole segment's arithmetic
+    cruise, ramp, move_op = v * v / a, v / a, CommandOp.MOVE
     total = 0.0
     position: tuple[float, float, float] | None = None
     for command in path.commands:
-        if command.op is CommandOp.MOVE:
+        if command.op is move_op:
             if position is not None:
                 d = math.dist(position, command.xyz_mm)
                 if d > 0:
-                    if d >= v * v / a:
-                        total += d / v + v / a
-                    else:
-                        total += 2.0 * math.sqrt(d / a)
+                    total += d / v + ramp if d >= cruise else 2.0 * math.sqrt(d / a)
             position = command.xyz_mm
         else:
             total += dwell_s
@@ -284,10 +284,10 @@ def parse_toolpath(data: bytes | str) -> Toolpath:
         for entry in obj["commands"]:
             op = CommandOp(entry["op"])
             if op is CommandOp.MOVE:
-                xyz = [real_number(v) for v in entry["xyz_mm"]]
-                if len(xyz) != 3 or not all(map(math.isfinite, xyz)):
-                    raise ValueError("xyz_mm must be 3 finite numbers")
-                commands.append(move(*xyz))
+                xyz = tuple(map(real_number, entry["xyz_mm"]))
+                if not all(map(math.isfinite, xyz)):
+                    raise ValueError("xyz_mm must hold finite numbers")
+                commands.append(Command(op, xyz))  # which refuses all but a triple
             else:
                 commands.append(Command(op))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

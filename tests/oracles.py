@@ -6,14 +6,15 @@ loops of ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer
 overhang search, run-list stack rule, full-voxelize rescale loop and rewrite
 orchestration and column-scan build replay of ``blockplan.feasibility``,
 the all-pairs distance sort of ``blockplan.sequencer``, the
-``json.dumps(indent=2)`` writers of every JSON artifact and the per-value
+``json.dumps(indent=2)`` writers of every JSON artifact, the per-command
+build-time walk of ``blockplan.toolpath``, the per-value
 grid and sequence readers, and the restart loop that strips request
 scaffolding in ``blockplan.frontend``.
 The randomized equivalence tests require the current implementations to
 reproduce them exactly: same parsed meshes and parse errors, repaired
 vertices, triangles and repair summary, occupied cells, check details,
 rewritten and rescaled grids, placement orders, errors, simulation reports,
-artifact bytes, read documents and reader errors, and stripped request
+artifact bytes, build-time estimates to the bit, read documents and reader errors, and stripped request
 phrases. The voxelizer has two
 interior tests here: the even-odd parity ray it used on closed meshes, and
 a per-cell generalized winding number that holds on every mesh.
@@ -42,6 +43,7 @@ from blockplan.config import AssemblyConfig
 from blockplan.errors import (
     BlockplanError,
     CannotFit,
+    ConfigViolation,
     EmptyAfterModification,
     EmptyAssembly,
     MalformedFile,
@@ -766,6 +768,33 @@ def emit_toolpath_json(path: Toolpath) -> bytes:
         ],
     }
     return canonical_json(obj)
+
+
+def estimate_duration(path: Toolpath, dwell_s: float = 0.5, unit_scale: float = 1.0) -> float:
+    """``toolpath.estimate_duration`` timing every segment as it walks the commands."""
+    if dwell_s < 0 or unit_scale <= 0:
+        raise ValueError("dwell_s must be >= 0 and unit_scale positive")
+    v = path.params.velocity * unit_scale
+    a = path.params.acceleration * unit_scale
+    if not (v > 0 and a > 0):  # the scaled limits underflowed
+        raise ConfigViolation("velocity and acceleration underflow at this motion_unit_scale")
+    total = 0.0
+    position: tuple[float, float, float] | None = None
+    for command in path.commands:
+        if command.op is CommandOp.MOVE:
+            if position is not None:
+                d = math.dist(position, command.xyz_mm)
+                if d > 0:
+                    if d >= v * v / a:
+                        total += d / v + v / a
+                    else:
+                        total += 2.0 * math.sqrt(d / a)
+            position = command.xyz_mm
+        else:
+            total += dwell_s
+    if not math.isfinite(total):
+        raise ConfigViolation(f"the estimated build time is not finite ({total} s)")
+    return total
 
 
 # --- request filter ------------------------------------------------------------

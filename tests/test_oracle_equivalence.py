@@ -26,7 +26,12 @@ failure-handling settings. ``parse_mesh`` gives the line-loop parsers' mesh
 or error, line number included, on seeded ASCII STL and OBJ files: every
 ``str.splitlines`` break and ``str.split`` gap, keyword case and position,
 polygons, negative, slashed and forward indices, Python-only number forms,
-invalid UTF-8, and the dense_mesh spheres. The fallback filter's one
+invalid UTF-8, and the dense_mesh spheres, and on seeded files at the edges
+of the one-call numpy conversions of tokens. Winding unification matches the
+oracle on spheres with flipped caps, holes and fins. ``estimate_duration``
+gives the per-segment walk's float bits, or its refusal, on seeded paths of
+shared command objects with signed zeros and overflowing distances, and on
+planned paths. The fallback filter's one
 scaffolding match strips what the restart loop over the prefixes strips, on
 seeded phrases of prefix words, whole prefixes and near-misses.
 """
@@ -95,6 +100,7 @@ from blockplan.toolpath import (
     MotionParams,
     Toolpath,
     emit_toolpath,
+    estimate_duration,
     move,
     parse_toolpath,
     plan_toolpath,
@@ -737,6 +743,62 @@ def test_planned_toolpath_round_trips_through_the_json_module(seed):
         assert emit_toolpath(parsed, fmt) == emit_toolpath(path, fmt)
 
 
+# signed zeros, subnormals, and finite values whose distance overflows to inf
+_DURATION_COORDINATES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e-3, 1e3, 5e-324, 1e308, -1e308)
+
+
+def random_toolpath(rng: random.Random) -> Toolpath:
+    """Commands drawn from a small pool of objects, so (from, to) pairs repeat
+    as a planned path's fetch legs do, mixed with moves of their own."""
+    def point() -> Command:
+        far = rng.random() < 0.05
+        return move(*(rng.choice(_DURATION_COORDINATES[: None if far else 7]) for _ in range(3)))
+
+    pool = [point() for _ in range(rng.randint(1, 5))]
+    pool += [Command(CommandOp.GRIP), Command(CommandOp.RELEASE)]
+    commands = [rng.choice(pool) if rng.random() < 0.7 else point() for _ in range(rng.randint(0, 30))]
+    v, a = (rng.choice((1e-3, 0.5, 1.0, 2.0, 7.5)) for _ in range(2))
+    return Toolpath(tuple(commands), MotionParams(v, a))
+
+
+def duration_outcome(estimate, path: Toolpath, dwell_s: float, unit_scale: float):
+    """The estimate's exact bits, or its error's type and message."""
+    try:
+        return estimate(path, dwell_s, unit_scale).hex()
+    except BlockplanError as exc:
+        return type(exc), str(exc)
+
+
+def test_duration_matches_the_per_segment_walk_bit_for_bit():
+    rng = random.Random(43)
+    outcomes = []
+    for _ in range(600):
+        path = random_toolpath(rng)
+        dwell_s = rng.choice((0.0, -0.0, 0.5, 1.25))
+        unit_scale = rng.choice((1.0, 1.0, 2.0, 0.1, 1e-322))
+        ours = duration_outcome(estimate_duration, path, dwell_s, unit_scale)
+        assert ours == duration_outcome(oracles.estimate_duration, path, dwell_s, unit_scale)
+        outcomes.append(ours)
+    # non-finite totals and underflowed limits are refused, and 0.0 sums are met
+    assert any("not finite" in o[1] for o in outcomes if type(o) is tuple)
+    assert any("underflow" in o[1] for o in outcomes if type(o) is tuple)
+    assert (0.0).hex() in outcomes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_duration_of_planned_paths_matches_the_per_segment_walk(seed):
+    rng = np.random.default_rng([seed, 43])
+    grid = remove_overhangs(random_grid(rng), 0)
+    while not grid.occupied:
+        grid = remove_overhangs(random_grid(rng), 0)
+    config = AssemblyConfig(source=(-0.0, -20.0, 0.0))
+    path = plan_toolpath(connectivity_sort(grid), grid, config, MotionParams(2.0, 1.0))
+    for dwell_s, unit_scale in ((0.5, 1.0), (0.0, 3.0), (-0.0, 0.25)):
+        assert estimate_duration(path, dwell_s, unit_scale).hex() == (
+            oracles.estimate_duration(path, dwell_s, unit_scale).hex()
+        )
+
+
 _BASE_GRID = {"cell_size_cm": 10.0, "origin_cm": [0, 0, 0], "dims": [3, 3, 3]}
 # each is the grid's occupied list and the sequence's cells
 _CELL_LISTS = {
@@ -903,6 +965,93 @@ def test_parser_errors_name_the_first_bad_line(name):
     with pytest.raises(MalformedFile) as caught:
         parse_mesh(PARSE_CASES[name], "obj" if name.startswith("obj") else "stl")
     assert str(caught.value) == FIRST_BAD_LINE[name]
+
+
+# Tokens at the edges of the one-call numpy conversions: forms only Python's
+# float() and int() read, non-finite numbers, slashed, relative, zero, huge and
+# int64-limit face indices, and tokens that are no number at all.
+_COORDINATES = ("0", "-2.5", "1e3", "+7", "1_0", "\u0663", "\uff13.5", "\u0661\u0662")
+_ODD_COORDINATES = ("nan", "inf", "-infinity", "1e400", "0x10", "x", "1__0")
+_ODD_INDICES = (
+    "0", "x", "/5", "99999999999999999999", "9223372036854775807", "-9223372036854775808",
+    "1.5", "\u0663", "1_0",
+)
+
+
+def _edge_coordinates(rng: random.Random) -> str:
+    """Three coordinates, now and then two or five, rarely an odd one."""
+    count = rng.choices((2, 3, 5), (1, 16, 3))[0]
+    odd = rng.random() < 0.04
+    return " ".join(rng.choice(_ODD_COORDINATES if odd else _COORDINATES) for _ in range(count))
+
+
+def _edge_index(rng: random.Random, defined: int) -> str:
+    """A face token: an absolute or relative index, perhaps with texture and
+    normal indices, rarely an odd token."""
+    if rng.random() < 0.03 or not defined:
+        return rng.choice(_ODD_INDICES)
+    index = rng.randint(1, defined)
+    head = str(index if rng.random() < 0.7 else index - defined - 1)
+    return head + rng.choice(("", "", "/1/2", "//3", "/4"))
+
+
+def edge_case_file(fmt: str, seed: int) -> bytes:
+    """An ASCII STL or an OBJ of a few dozen lines that runs into the
+    conversions' edges; OBJ lines interleave v and f records."""
+    rng = random.Random(seed)
+    if fmt == "stl":
+        lines = ["solid edge"]
+        for _ in range(rng.randint(1, 8)):
+            lines += ["facet normal 0 0 1", "outer loop"]
+            lines += [f"vertex {_edge_coordinates(rng)}" for _ in range(3)]
+            lines += ["endloop", "endfacet"]
+        return "\n".join(lines + ["endsolid edge"]).encode()
+    lines, defined = [], 0
+    for _ in range(rng.randint(3, 30)):
+        if rng.random() < 0.5:
+            lines.append(f"v {_edge_coordinates(rng)}")
+            defined += 1
+        else:
+            size = rng.choices((2, 3, 4, 6), (1, 12, 4, 2))[0]
+            lines.append("f " + " ".join(_edge_index(rng, defined) for _ in range(size)))
+    return "\n".join(lines).encode()
+
+
+@pytest.mark.parametrize("fmt", ["obj", "stl"])
+def test_parser_matches_line_loop_oracle_at_the_conversion_edges(fmt):
+    meshes = 0
+    for seed in range(300):
+        data = edge_case_file(fmt, seed)
+        ours = oracles.parse_outcome(parse_mesh, data, fmt)
+        assert ours == oracles.parse_outcome(oracles.parse_mesh, data, fmt), data
+        meshes += len(ours) == 3
+    assert 30 < meshes < 270  # both meshes and errors are compared
+
+
+def winding_tangle(rng: np.random.Generator) -> np.ndarray:
+    """A sphere's triangles with flipped caps, holes (edges of one triangle)
+    and fins (edges of three), in shuffled order."""
+    sphere = icosphere(10.0, subdivisions=int(rng.integers(1, 3)))
+    tris = sphere.triangles.copy()
+    centroids = sphere.vertices[tris].mean(axis=1)
+    for _ in range(int(rng.integers(1, 4))):
+        cap = centroids @ rng.normal(size=3) > rng.uniform(0.0, 10.0)
+        tris[cap] = tris[cap, ::-1]
+    tris = tris[rng.random(len(tris)) > 0.05]
+    hosts = tris[rng.random(len(tris)) < 0.1]
+    fins = np.stack([hosts[:, 1], hosts[:, 0], rng.integers(0, sphere.vertex_count, len(hosts))], 1)
+    fins = fins[(fins[:, 2] != fins[:, 0]) & (fins[:, 2] != fins[:, 1])]
+    tris = np.concatenate([tris, fins])
+    return tris[rng.permutation(len(tris))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unify_windings_matches_oracle_on_holes_fins_and_flipped_caps(seed):
+    tris = winding_tangle(np.random.default_rng([seed, 7]))
+    ours, flipped, _manifold = mesh_io._unify_windings(tris)
+    theirs, theirs_flipped = oracles.unify_windings(tris)
+    np.testing.assert_array_equal(ours, theirs)
+    assert flipped == theirs_flipped
 
 
 # words of the prefixes, the prefixes whole, and words that start like one

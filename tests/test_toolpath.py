@@ -516,6 +516,22 @@ def test_parse_toolpath_rejects_bad_documents(data):
 
 
 @pytest.mark.parametrize(
+    "xyz, message",
+    [
+        ("[1, 2]", "move command needs an xyz_mm triple"),
+        ("[1, 2, 3, 4]", "move command needs an xyz_mm triple"),
+        ("[]", "move command needs an xyz_mm triple"),
+        ("[1, NaN, 3]", "xyz_mm must hold finite numbers"),
+    ],
+)
+def test_parse_toolpath_names_xyz_mm_in_its_refusal(xyz, message):
+    data = '{"params": {"velocity": 1.0, "acceleration": 1.0}, "commands": [{"op": "move", "xyz_mm": %s}]}'
+    with pytest.raises(SchemaError) as caught:
+        parse_toolpath(data % xyz)
+    assert str(caught.value) == f"not a valid toolpath document: {message}"
+
+
+@pytest.mark.parametrize(
     "params,xyz",
     [
         ('"velocity": NaN, "acceleration": 1.0', "[0, 0, 0]"),
