@@ -25,8 +25,14 @@ DEFAULT_CELL_SIZE = 10.0  # cm, cubic component edge
 SAT_EPSILON = 1e-9
 
 # (triangle, cell) pairs per batch of the surface and interior tests; bounds
-# the temporaries at a few MB whatever the mesh and grid size
+# the temporaries at a few tens of MB whatever the mesh and grid size
 _BATCH_PAIRS = 32768
+
+# the x, y and z box normals, laid out axis, candidate, 1
+_BOX_NORMALS = np.eye(3)[:, :, None]
+# per SAT candidate axis, the least length that separates: any for the box
+# normals and the face normal, 1e-12 for an edge cross
+_LEAST_AXIS_LENGTH = np.array([0.0] * 4 + [1e-12] * 9)[:, None]
 
 Cell = tuple[int, int, int]
 
@@ -71,6 +77,17 @@ class OccupancyGrid:
             bad = next(c for c in cells if not self.spec.contains(c))
             raise ValueError(f"cell {bad} outside grid dims {self.spec.dims}")
         object.__setattr__(self, "occupied", occupied)
+
+    @classmethod
+    def from_array(cls, spec: GridSpec, filled: np.ndarray) -> "OccupancyGrid":
+        """The grid of the true cells of a boolean array of ``spec.dims``."""
+        return cls(spec, map(tuple, np.argwhere(filled).tolist()))
+
+    def to_array(self) -> np.ndarray:
+        """The occupied cells as a boolean array of ``spec.dims``."""
+        filled = np.zeros(self.spec.dims, dtype=bool)
+        filled[tuple(np.array(list(self.occupied), dtype=np.int64).reshape(-1, 3).T)] = True
+        return filled
 
     def to_json(self) -> bytes:
         spec = self.spec
@@ -177,10 +194,16 @@ def build_grid(box: Aabb, cell_size: float = DEFAULT_CELL_SIZE) -> GridSpec:
     return GridSpec(origin=box.min_corner, cell_size=float(cell_size), dims=dims)
 
 
-def voxelize(
+def voxelize(mesh: TriangleMesh, spec: GridSpec) -> OccupancyGrid:
+    """The grid of the cells ``occupancy`` marks."""
+    return OccupancyGrid.from_array(spec, occupancy(mesh, spec))
+
+
+def occupancy(
     mesh: TriangleMesh, spec: GridSpec, *, surface_limit: int | None = None
-) -> OccupancyGrid:
-    """Mark every cell the surface intersects, then every cell inside it.
+) -> np.ndarray:
+    """Mark every cell the surface intersects, then every cell inside it, in
+    a boolean array of ``spec.dims``.
 
     The surface test is an exact triangle/box separating-axis test with a
     1e-9 epsilon (touching counts), run over every (triangle, cell) pair
@@ -191,7 +214,7 @@ def voxelize(
     tests run in fixed-size batches. Deterministic. A triangle inside one
     cell and an already-filled cell skip the SAT test, and a rescale step
     that cannot fit skips the interior: when the surface alone fills more
-    than ``surface_limit`` cells, the grid holds those surface cells only.
+    than ``surface_limit`` cells, the array holds those surface cells only.
     """
     cell = spec.cell_size
     origin = np.asarray(spec.origin, dtype=np.float64)
@@ -201,8 +224,7 @@ def voxelize(
         _mark_surface(coords, origin, cell, filled)
         if surface_limit is None or np.count_nonzero(filled) <= surface_limit:
             _mark_interior(coords, origin, cell, filled)
-    occupied = frozenset(map(tuple, np.argwhere(filled).tolist()))
-    return OccupancyGrid(spec, occupied)
+    return filled
 
 
 def _mark_surface(
@@ -237,52 +259,34 @@ def _mark_surface(
         filled[tuple(ijk[hit].T)] = True
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot(a[r], b[r])`` per row.
-
-    A stacked matmul hands each row to the same BLAS dot kernel ``np.dot``
-    uses for one pair of vectors, so the rounding (fused multiply-adds
-    included) is that of the per-pair test; a plain sum of products is not.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _triangle_box_intersect(tri: np.ndarray, center: np.ndarray, half: float) -> np.ndarray:
-    """13-axis SAT (Akenine-Moller) per (triangle, box) row: 3 box normals,
-    1 face normal, 9 edge crosses. Returns the rows that intersect."""
-    v = tri - center[:, None, :]
-    eps = SAT_EPSILON
-    low = _column_min(v[:, 0], v[:, 1], v[:, 2]) > half + eps
-    high = _column_max(v[:, 0], v[:, 1], v[:, 2]) < -half - eps
-    keep = ~(low | high).any(axis=1)
-
-    edges = (v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2])
-
-    normal = np.cross(edges[0], edges[1])
-    length = np.sqrt(_rowdot(normal, normal))
-    tilted = length > 0
-    normal = normal / np.where(tilted, length, 1.0)[:, None]
-    dist = _rowdot(normal, v[:, 0])
-    radius = half * _abs_sum(normal)
-    keep &= ~(tilted & (np.abs(dist) > radius + eps))
-
-    zero = np.zeros(len(v))
-    for ex, ey, ez in (edge.T for edge in edges):
-        # the x, y and z unit vectors crossed with the edge, as np.cross
-        # gives them up to the sign of a zero
-        for sep in ((zero, -ez, ey), (ez, zero, -ex), (-ey, ex, zero)):
-            sep = np.stack(sep, axis=1)
-            length = np.sqrt(_rowdot(sep, sep))
-            usable = length >= 1e-12
-            sep = sep / np.where(usable, length, 1.0)[:, None]
-            proj = np.matmul(v, sep[:, :, None])[:, :, 0]  # per-row ``v @ sep``
-            radius = half * _abs_sum(sep)
-            p0, p1, p2 = proj[:, 0], proj[:, 1], proj[:, 2]
-            separated = (_column_min(p0, p1, p2) > radius + eps) | (
-                _column_max(p0, p1, p2) < -radius - eps
-            )
-            keep &= ~(usable & separated)
-    return keep
+    """13-axis SAT (Akenine-Moller) per (triangle, box) row, every axis at
+    once: 3 box normals, 1 face normal, 9 edge crosses. Dot products are
+    plain sums x + y + z, so no BLAS kernel sets the rounding. Returns the
+    rows that intersect."""
+    v = (tri - center[:, None, :]).transpose(2, 1, 0)  # axis, corner, row
+    ex, ey, ez = edges = v[:, [1, 2, 0]] - v  # v1 - v0, v2 - v1, v0 - v2
+    zero = np.zeros_like(ex)
+    # axis, candidate, row: the box normals, the face normal and the x, y and
+    # z unit vectors crossed with each edge, as np.cross gives them up to the
+    # sign of a zero
+    axes = np.concatenate(
+        [np.broadcast_to(_BOX_NORMALS, (3, 3, len(tri))),
+         np.cross(edges[:, 0], edges[:, 1], axis=0)[:, None],
+         np.stack((zero, -ez, ey)), np.stack((ez, zero, -ex)), np.stack((-ey, ex, zero))],
+        axis=1,
+    )
+    length = np.sqrt(_dot(axes, axes))
+    usable = (length > 0) & (length >= _LEAST_AXIS_LENGTH)
+    axes = axes / np.where(usable, length, 1.0)
+    p0, p1, p2 = (_dot(v[:, corner, None], axes) for corner in range(3))  # candidate, row
+    p1[3] = p2[3] = p0[3]  # the face normal is tested at the first corner
+    size = np.abs(axes)
+    radius = half * (size[0] + size[1] + size[2])
+    separated = (_column_min(p0, p1, p2) > radius + SAT_EPSILON) | (
+        _column_max(p0, p1, p2) < -radius - SAT_EPSILON
+    )
+    return ~(usable & separated).any(axis=0)
 
 
 def _column_min(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -291,12 +295,6 @@ def _column_min(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _column_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(a, b), c)
-
-
-def _abs_sum(rows: np.ndarray) -> np.ndarray:
-    """``np.abs(row).sum()`` per row, in its left-to-right order."""
-    a = np.abs(rows)
-    return a[:, 0] + a[:, 1] + a[:, 2]
 
 
 def _mark_interior(

@@ -11,7 +11,6 @@ simulation; the report cross-check reruns the configured checks.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -20,12 +19,12 @@ from functools import partial
 import numpy as np
 
 from .config import DEFAULT_OVERHANG_LIMIT, DEFAULT_STACK_LIMIT, AssemblyConfig
-from .discretizer import Cell, OccupancyGrid, build_grid, json_list, json_triple, voxelize
+from .discretizer import (
+    Cell, GridSpec, OccupancyGrid, build_grid, json_list, json_triple, occupancy,
+)
 from .errors import CannotFit, EmptyAfterModification, EmptyAssembly
 from .mesh_io import TriangleMesh, bounding_box
-from .sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
-
-_LATERAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
+from .sequencer import AssemblySequence, face_neighbors, require_coverage
 
 
 class CheckKind(Enum):
@@ -86,7 +85,10 @@ class FeasibilityReport:
 
 
 def check_component_count(grid: OccupancyGrid, inventory: int) -> CheckResult:
-    count = len(grid.occupied)
+    return _count_check(len(grid.occupied), inventory)
+
+
+def _count_check(count: int, inventory: int) -> CheckResult:
     if count == 0:
         raise EmptyAssembly("grid has no occupied cells")
     return CheckResult(CheckKind.COMPONENT_COUNT, (count,) if count > inventory else ())
@@ -97,34 +99,54 @@ def check_overhang(
 ) -> CheckResult:
     """Fails when a cell sits more than ``max_unsupported`` lateral steps
     from a supported cell: one on the ground (k = 0) or directly on an
-    occupied cell. One breadth-first search from every supported cell moves
-    only within a layer; a cell it never reaches counts as infinitely far.
-    """
-    occupied = grid.occupied
-    dist = {c: 0 for c in occupied if c[2] == 0 or (c[0], c[1], c[2] - 1) in occupied}
-    queue = deque(dist)
-    while queue:
-        cell = queue.popleft()
-        for di, dj in _LATERAL:
-            nb = (cell[0] + di, cell[1] + dj, cell[2])
-            if nb in occupied and nb not in dist:
-                dist[nb] = dist[cell] + 1
-                queue.append(nb)
-    offenders = sorted(c for c in occupied if dist.get(c, float("inf")) > max_unsupported)
-    return CheckResult(CheckKind.OVERHANG, tuple(offenders))
+    occupied cell. Steps move only within a layer; a cell no path reaches
+    counts as infinitely far."""
+    return _result(CheckKind.OVERHANG, _overhang(grid.to_array(), max_unsupported))
 
 
-def _prune(grid: OccupancyGrid, *checks: Callable[..., CheckResult]) -> OccupancyGrid:
-    """Delete the first failing check's offenders until every check passes.
+def _overhang(filled: np.ndarray, max_unsupported: int) -> np.ndarray:
+    """The overhang offenders of an occupancy array: the occupied cells that
+    at most ``max_unsupported`` in-layer dilations of the supported mask,
+    each kept inside the occupied mask, do not reach."""
+    reached = filled & _resting(filled) & (max_unsupported >= 0)
+    for _ in range(max_unsupported):
+        grown = reached | (_lateral(reached) & filled)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return filled & ~reached
 
-    A check runs only on a grid that passes the ones before it. A grid that
-    already passes comes back as it is.
-    """
+
+def _resting(filled: np.ndarray) -> np.ndarray:
+    """The cells on the ground (k = 0) or directly on an occupied cell."""
+    rest = np.ones_like(filled)
+    rest[:, :, 1:] = filled[:, :, :-1]
+    return rest
+
+
+def _lateral(mask: np.ndarray) -> np.ndarray:
+    """The cells with a face neighbour in ``mask`` within their own layer."""
+    near = np.zeros_like(mask)
+    near[1:] |= mask[:-1]
+    near[:-1] |= mask[1:]
+    near[:, 1:] |= mask[:, :-1]
+    near[:, :-1] |= mask[:, 1:]
+    return near
+
+
+def _result(check: CheckKind, offenders: np.ndarray) -> CheckResult:
+    """The check's result with the true cells of ``offenders``, sorted."""
+    return CheckResult(check, tuple(map(tuple, np.argwhere(offenders).tolist())))
+
+
+def _prune(filled: np.ndarray, *rules: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Delete the first failing rule's offenders until every rule passes; a
+    rule runs only on an array that passes the ones before it."""
     while True:
-        offenders = next(filter(None, (check(grid).details for check in checks)), ())
-        if not offenders:
-            return grid
-        grid = OccupancyGrid(grid.spec, grid.occupied - set(offenders))
+        offenders = next((mask for mask in (rule(filled) for rule in rules) if mask.any()), None)
+        if offenders is None:
+            return filled
+        filled = filled & ~offenders
 
 
 def remove_overhangs(
@@ -135,7 +157,8 @@ def remove_overhangs(
     Removal can orphan cells above (their support vanishes), so the sweep
     repeats to a fixpoint. Grids that already pass come back unchanged.
     """
-    return _prune(grid, partial(check_overhang, max_unsupported=max_unsupported))
+    rule = partial(_overhang, max_unsupported=max_unsupported)
+    return OccupancyGrid.from_array(grid.spec, _prune(grid.to_array(), rule))
 
 
 def check_vertical_stack(
@@ -145,15 +168,17 @@ def check_vertical_stack(
 
     A cell braced sideways has height 0; any other cell is one higher than
     the cell below it (0 when absent). Details list the cells above height
-    ``max_stack``.
-    """
-    occupied = grid.occupied
-    height: dict[Cell, int] = {}
-    for i, j, k in sorted(occupied, key=lambda c: c[2]):
-        braced = any((i + di, j + dj, k) in occupied for di, dj in _LATERAL)
-        height[(i, j, k)] = 0 if braced else 1 + height.get((i, j, k - 1), 0)
-    excess = sorted(c for c, h in height.items() if h > max_stack)
-    return CheckResult(CheckKind.VERTICAL_STACK, tuple(excess))
+    ``max_stack``."""
+    return _result(CheckKind.VERTICAL_STACK, _stack(grid.to_array(), max_stack))
+
+
+def _stack(filled: np.ndarray, max_stack: int) -> np.ndarray:
+    """The stack offenders of an occupancy array, in one scan up z: a cell's
+    height is its column's free-cell count up to it less that count at the
+    last cell below it that is braced or empty."""
+    free = filled & ~_lateral(filled)
+    run = np.cumsum(free, axis=2)
+    return filled & (run - np.maximum.accumulate(np.where(free, 0, run), axis=2) > max_stack)
 
 
 def truncate_stacks(
@@ -166,8 +191,9 @@ def truncate_stacks(
     Truncation can orphan whatever rested on the removed cells, so the
     overhang sweep runs interleaved until both rules hold.
     """
-    stack = partial(check_vertical_stack, max_stack=max_stack)
-    return _prune(grid, stack, partial(check_overhang, max_unsupported=max_unsupported))
+    rules = (partial(_stack, max_stack=max_stack),
+             partial(_overhang, max_unsupported=max_unsupported))
+    return OccupancyGrid.from_array(grid.spec, _prune(grid.to_array(), *rules))
 
 
 def _replay(seq: AssemblySequence, grid: OccupancyGrid) -> Iterator[tuple[Cell, bool, bool]]:
@@ -198,42 +224,49 @@ def check_sequence_connectivity(
     return CheckResult(CheckKind.CONNECTIVITY)
 
 
-def _configured_checks(config: AssemblyConfig) -> tuple[Callable[..., CheckResult], ...]:
-    """The count, overhang and stack checks at ``config``'s limits."""
-    return (
-        partial(check_component_count, inventory=config.inventory),
-        partial(check_overhang, max_unsupported=config.overhang_limit),
-        partial(check_vertical_stack, max_stack=config.stack_limit),
-    )
+def _naive_gap(filled: np.ndarray) -> tuple[Cell, ...]:
+    """The connectivity offender of the naive (k, i, j) order, without a sort:
+    the least cell in that order with k > 0 and none of (i, j, k - 1),
+    (i - 1, j, k) or (i, j - 1, k) occupied, if any."""
+    linked = _resting(filled)
+    linked[1:] |= filled[:-1]
+    linked[:, 1:] |= filled[:, :-1]
+    loose = np.argwhere((filled & ~linked).transpose(2, 0, 1))[:1, [1, 2, 0]]
+    return tuple(map(tuple, loose.tolist()))
+
+
+def _configured_rules(config: AssemblyConfig) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """The overhang and stack rules at ``config``'s limits."""
+    return (partial(_overhang, max_unsupported=config.overhang_limit),
+            partial(_stack, max_stack=config.stack_limit))
 
 
 # --- rescaling ----------------------------------------------------------------
 
 
 def rescale_until_fits(
-    mesh: TriangleMesh, grid: OccupancyGrid, inventory: int
-) -> tuple[OccupancyGrid, float, int]:
+    mesh: TriangleMesh, cell_size: float, count: int, inventory: int
+) -> tuple[GridSpec, np.ndarray, float, int]:
     """Shrink the design until it voxelizes to at most the inventory.
 
-    ``grid`` is ``mesh`` voxelized on its own bounding grid; its cell size
-    is the shrink step. The mesh is repeatedly scaled by (L - cell) / L
-    where L is the current longest bounding-box edge, which shaves exactly
-    one cell off the longest axis per iteration. Returns the final grid,
-    the cumulative shrink factor (1.0 without a shrink; fitting the mesh to
-    the workspace is the caller's step) and the iteration count. A step
-    that can shrink again skips the interior pass when its surface alone
-    exceeds the inventory; the last possible step voxelizes in full, so a
-    ``CannotFit`` message reports the complete count.
-    """
-    cell_size = grid.spec.cell_size
-    scale = 1.0
-    iterations = 0
+    ``count`` is the occupied-cell count of ``mesh`` voxelized on its own
+    bounding grid of ``cell_size`` cells, the shrink step. The mesh is
+    repeatedly scaled by (L - cell) / L where L is the current longest
+    bounding-box edge, which shaves exactly one cell off the longest axis per
+    iteration; each step only counts its occupancy array. Returns the final
+    grid spec and array, the cumulative shrink factor (1.0 without a shrink;
+    fitting the mesh to the workspace is the caller's step) and the
+    iteration count. A step that can shrink again skips the interior pass
+    when its surface alone exceeds the inventory; the last possible step
+    voxelizes in full, so a ``CannotFit`` message reports the complete count."""
+    scale, iterations, filled = 1.0, 0, None
     box = bounding_box(mesh)
-    while len(grid.occupied) > inventory:
+    spec = build_grid(box, cell_size)
+    while count > inventory:
         longest = max(box.extents)
         if longest - cell_size < cell_size:
             raise CannotFit(
-                f"{len(grid.occupied)} components exceed the inventory of "
+                f"{count} components exceed the inventory of "
                 f"{inventory} and the design cannot shrink "
                 f"below one component"
             )
@@ -243,11 +276,13 @@ def rescale_until_fits(
         scale *= factor
         iterations += 1
         box = bounding_box(mesh)
+        spec = build_grid(box, cell_size)
         last = max(box.extents) - cell_size < cell_size
-        grid = voxelize(
-            mesh, build_grid(box, cell_size), surface_limit=None if last else inventory
-        )
-    return grid, float(scale), iterations
+        filled = occupancy(mesh, spec, surface_limit=None if last else inventory)
+        count = np.count_nonzero(filled)
+    if filled is None:  # nothing to shrink: the design as given
+        filled = occupancy(mesh, spec)
+    return spec, filled, float(scale), iterations
 
 
 # --- orchestration --------------------------------------------------------
@@ -264,40 +299,43 @@ def run_feasibility(
     first (``fit_to_workspace``). The report always carries the first-pass
     statuses; with failure handling enabled the returned grid additionally
     satisfies every check (rescale, overhang removal, stack truncation,
-    connectivity re-sort, in that order).
-    """
+    connectivity re-sort, in that order). All of it reads the occupancy
+    array; only the returned grid is built as a set of cells."""
     config = config or AssemblyConfig()
-    grid = voxelize(mesh, build_grid(bounding_box(mesh), config.cell_size))
-    if not grid.occupied:
+    spec = build_grid(bounding_box(mesh), config.cell_size)
+    filled = occupancy(mesh, spec)
+    first = np.count_nonzero(filled)
+    if not first:
         raise EmptyAssembly("mesh voxelized to zero occupied cells")
 
-    count_check, overhang, stack = _configured_checks(config)
-
-    def connectivity(g: OccupancyGrid) -> CheckResult:
-        return check_sequence_connectivity(naive_sort(g), g)
-
-    count = count_check(grid)
-    results = (count, overhang(grid), stack(grid), connectivity(grid))
+    overhang, stack = _configured_rules(config)
+    count = _count_check(first, config.inventory)
+    results = (count, _result(CheckKind.OVERHANG, overhang(filled)),
+               _result(CheckKind.VERTICAL_STACK, stack(filled)),
+               CheckResult(CheckKind.CONNECTIVITY, _naive_gap(filled)))
     modifications: list[dict] = []
     if failure_handling:
         if count.failed:
-            grid, scale, iterations = rescale_until_fits(mesh, grid, config.inventory)
+            spec, filled, scale, iterations = rescale_until_fits(
+                mesh, spec.cell_size, first, config.inventory
+            )
             modifications.append(
                 {"action": "rescale", "iterations": iterations, "scale": scale}
             )
         rewrites = (("remove_overhangs", (overhang,)), ("truncate_stacks", (stack, overhang)))
-        for action, checks in rewrites:
-            trimmed = _prune(grid, *checks)
-            removed = sorted(grid.occupied - trimmed.occupied)
+        for action, rules in rewrites:
+            trimmed = _prune(filled, *rules)
+            removed = np.argwhere(filled & ~trimmed).tolist()
             if removed:
-                modifications.append({"action": action, "removed": [list(c) for c in removed]})
-            grid = trimmed
-        if not grid.occupied:
+                modifications.append({"action": action, "removed": removed})
+            filled = trimmed
+        if not filled.any():
             raise EmptyAfterModification("failure handling removed every cell")
         # the grid passes the overhang check, so connectivity_sort succeeds on it
-        if connectivity(grid).failed:
+        if _naive_gap(filled):
             modifications.append({"action": "connectivity_sort"})
 
+    grid = OccupancyGrid.from_array(spec, filled)
     return grid, FeasibilityReport(results, tuple(modifications), len(grid.occupied))
 
 
@@ -373,4 +411,6 @@ def verify_report_consistency(
     """
     if not grid.occupied or report.final_component_count != len(grid.occupied):
         return False
-    return not any(check(grid).failed for check in _configured_checks(config))
+    filled = grid.to_array()
+    return check_component_count(grid, config.inventory).passed and not any(
+        rule(filled).any() for rule in _configured_rules(config))

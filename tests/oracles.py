@@ -361,39 +361,54 @@ def _voxelize(mesh: TriangleMesh, spec: GridSpec, inside) -> OccupancyGrid:
 
 
 def triangle_box_intersect(tri: np.ndarray, center: np.ndarray, half: float) -> bool:
-    """13-axis SAT (Akenine-Moller): 3 box normals, 1 face normal, 9 edge crosses."""
-    v = tri - center
+    """13-axis SAT (Akenine-Moller): 3 box normals, 1 face normal, 9 edge
+    crosses. Each dot product and norm is a sum of Python float products in
+    x + y + z order, as the voxelizer's plain sums."""
+    v = (tri - center).tolist()
     eps = SAT_EPSILON
 
     for axis in range(3):
-        if v[:, axis].min() > half + eps or v[:, axis].max() < -half - eps:
+        values = [p[axis] for p in v]
+        if min(values) > half + eps or max(values) < -half - eps:
             return False
 
-    edges = (v[1] - v[0], v[2] - v[1], v[0] - v[2])
+    edges = (_sub(v[1], v[0]), _sub(v[2], v[1]), _sub(v[0], v[2]))
 
-    normal = np.cross(edges[0], edges[1])
-    length = np.linalg.norm(normal)
+    normal = _cross(edges[0], edges[1])
+    length = math.sqrt(_dot(normal, normal))
     if length > 0:
-        normal = normal / length
-        dist = float(np.dot(normal, v[0]))
-        radius = half * float(np.abs(normal).sum())
+        normal = [c / length for c in normal]
+        dist = _dot(normal, v[0])
+        radius = half * (abs(normal[0]) + abs(normal[1]) + abs(normal[2]))
         if abs(dist) > radius + eps:
             return False
 
     for edge in edges:
         for axis in range(3):
-            unit = np.zeros(3)
+            unit = [0.0, 0.0, 0.0]
             unit[axis] = 1.0
-            sep = np.cross(unit, edge)
-            length = np.linalg.norm(sep)
+            sep = _cross(unit, edge)
+            length = math.sqrt(_dot(sep, sep))
             if length < 1e-12:
                 continue
-            sep = sep / length
-            proj = v @ sep
-            radius = half * float(np.abs(sep).sum())
-            if proj.min() > radius + eps or proj.max() < -radius - eps:
+            sep = [c / length for c in sep]
+            proj = [_dot(p, sep) for p in v]
+            radius = half * (abs(sep[0]) + abs(sep[1]) + abs(sep[2]))
+            if min(proj) > radius + eps or max(proj) < -radius - eps:
                 return False
     return True
+
+
+def _sub(a: list[float], b: list[float]) -> list[float]:
+    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: list[float], b: list[float]) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
 def point_inside(point: np.ndarray, coords: np.ndarray) -> bool:

@@ -203,29 +203,30 @@ def box_rescale_oracle(extents, cell: float, inventory: int):
     return count(), scale, iterations
 
 
-def grid_of(mesh):
-    """The first-pass 10 cm grid the orchestrator hands to the shrink loop."""
-    return voxelize(mesh, build_grid(bounding_box(mesh), 10.0))
+def rescaled(mesh, inventory):
+    """The shrink loop from the 10 cm first pass: final cell count, scale and
+    iterations."""
+    first = len(voxelize(mesh, build_grid(bounding_box(mesh), 10.0)).occupied)
+    _, filled, scale, iterations = rescale_until_fits(mesh, 10.0, first, inventory)
+    return int(filled.sum()), scale, iterations
 
 
 def test_rescale_not_needed_when_within_inventory():
     mesh = box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0))
-    grid, scale, iterations = rescale_until_fits(mesh, grid_of(mesh), 40)
-    assert (len(grid.occupied), scale, iterations) == (2, 1.0, 0)
+    assert rescaled(mesh, 40) == (2, 1.0, 0)
 
 
 def test_rescale_single_step_halves_two_cell_box():
     mesh = box_mesh((0.0, 0.0, 0.0), (20.0, 10.0, 10.0))
-    grid, scale, iterations = rescale_until_fits(mesh, grid_of(mesh), 1)
-    assert (len(grid.occupied), scale, iterations) == (1, 0.5, 1)
+    assert rescaled(mesh, 1) == (1, 0.5, 1)
 
 
 def test_rescale_matches_box_oracle():
     extents = (60.0, 50.0, 60.0)
     mesh = box_mesh((0.0, 0.0, 0.0), extents)
-    grid, scale, iterations = rescale_until_fits(mesh, grid_of(mesh), 40)
+    cells, scale, iterations = rescaled(mesh, 40)
     count, expected_scale, expected_iterations = box_rescale_oracle(extents, 10.0, 40)
-    assert len(grid.occupied) == count == 27
+    assert cells == count == 27
     assert iterations == expected_iterations == 3
     assert scale == pytest.approx(expected_scale, rel=1e-12)
     assert scale == pytest.approx(0.5, rel=1e-12)
@@ -234,7 +235,7 @@ def test_rescale_matches_box_oracle():
 def test_rescale_raises_when_design_cannot_shrink():
     mesh = box_mesh((0.0, 0.0, 0.0), (15.0, 15.0, 15.0))
     with pytest.raises(CannotFit):
-        rescale_until_fits(mesh, grid_of(mesh), 1)
+        rescaled(mesh, 1)
 
 
 # --- orchestration -------------------------------------------------------
@@ -258,11 +259,11 @@ def test_orchestrator_oversized_block(demo_meshes, config):
 def test_block_demo_voxelizes_once_per_rescale_iteration(demo_meshes, config, monkeypatch):
     calls = []
 
-    def counting_voxelize(mesh, spec, **kwargs):
+    def counting_occupancy(mesh, spec, **kwargs):
         calls.append(spec)
-        return voxelize(mesh, spec, **kwargs)
+        return discretizer.occupancy(mesh, spec, **kwargs)
 
-    monkeypatch.setattr(feasibility, "voxelize", counting_voxelize)
+    monkeypatch.setattr(feasibility, "occupancy", counting_occupancy)
     _, report = run_feasibility(demo_meshes["block"], config)
     iterations = report.modifications[0]["iterations"]
     assert iterations == 3
@@ -282,7 +283,7 @@ def test_rescale_steps_that_cannot_fit_skip_the_interior(
 
         return wrapper
 
-    monkeypatch.setattr(feasibility, "voxelize", counting("voxelize", voxelize))
+    monkeypatch.setattr(feasibility, "occupancy", counting("voxelize", discretizer.occupancy))
     monkeypatch.setattr(
         discretizer, "_mark_interior", counting("interior", discretizer._mark_interior)
     )

@@ -5,6 +5,9 @@ byte. The hashes were recorded before the voxelizer's one-cell and
 filled-cell shortcuts and the rescale loop's interior pruning, for the four
 demos and for the r15 subdivision-3 icosphere, closed and with its first
 triangle dropped, at 10 and 5 cm cells (both spheres rescale at 5 cm).
+The block at 1 cm, whose first pass is 60 x 50 x 60 cells and which takes
+57 rescale steps, was recorded before the first pass and the rescale steps
+kept the occupancy array instead of building a set of cells.
 """
 from __future__ import annotations
 
@@ -27,6 +30,12 @@ GOLDEN = {
         "report.json": "56bd3a2cb3f57897c49a66ddd7bd5de3b443abab8d16dc7aa27b0aab641c9136",
         "sequence.json": "36df692f367f35404f1b0cf0486444d41cabf64ed1cb16e96cb80b7be047d92c",
         "toolpath.json": "8327acd8aa5632a059728de7235c270b2106ce0022c40102ef9c17795a942deb",
+    },
+    ("block", 1): {
+        "grid.json": "1a2954b42a139cf4304918f97bde7ea6e02a37d69cd00ef115e45ba67921a9c0",
+        "report.json": "29aa7f7c5823b9a406dc0fd1ea67d8fa501624568b402350e49f29afeace42a4",
+        "sequence.json": "36df692f367f35404f1b0cf0486444d41cabf64ed1cb16e96cb80b7be047d92c",
+        "toolpath.json": "f81d4020c85ddfe5d27d3bb915269f822698e3147429e0ff4db81d75338c373d",
     },
     ("shelf", 10): {
         "grid.json": "6a213937b772b41ab1124393ca0ddc6253e8ee03dd09a32a9a8e42ccedf8ae48",
@@ -91,6 +100,10 @@ def run_pipeline(mesh_path, out_dir, cell_size: float) -> dict[str, str]:
 @pytest.mark.parametrize("name", ["block", "shelf", "tee", "table"])
 def test_demo_artifacts_match_golden_hashes(name, demo_mesh_files, tmp_path, capsys):
     assert run_pipeline(demo_mesh_files[name], tmp_path, 10) == GOLDEN[name, 10]
+
+
+def test_fine_block_artifacts_match_golden_hashes(demo_mesh_files, tmp_path, capsys):
+    assert run_pipeline(demo_mesh_files["block"], tmp_path, 1) == GOLDEN["block", 1]
 
 
 @pytest.mark.parametrize("cell_size", [10, 5])

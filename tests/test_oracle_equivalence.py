@@ -15,9 +15,13 @@ at tolerances of 1e-12, 1e-4 and 1e-3. Seeded sub-cell triangles on cell
 faces, edges and corners hold the one-cell surface shortcut to the
 per-pair SAT oracle, and the rescale loop that skips the interior on steps
 that cannot fit matches the loop that voxelizes every step in full, errors
-included. Random occupancy grids hold the overhang and stack checks, both
+included. Seeded triangles whose projection on one SAT axis lands within a
+few ulps of the separating bound hold the all-axes SAT to the per-pair
+plain-float oracle. Random occupancy grids hold the overhang and stack checks, both
 rewrites and the placement order (or its error) to the old per-layer
-searches, and random placement orders hold the build simulation to the old
+searches; random, hollow, bridged, single-layer and empty-layer grids hold
+the array rules, offenders included, to the per-layer and run-list oracles
+and the naive order's connectivity rule to a replay of ``naive_sort``, and random placement orders hold the build simulation to the old
 column scan.
 ``run_feasibility`` writes the grid and report bytes (or the error) of the
 orchestration it replaced, on the demos and on cell designs with riders on
@@ -47,7 +51,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockplan import mesh_io
+from blockplan import discretizer, feasibility, mesh_io
 from blockplan.config import AssemblyConfig
 from blockplan.discretizer import (
     SAT_EPSILON,
@@ -83,6 +87,7 @@ from blockplan.sequencer import (
     AssemblySequence,
     connectivity_sort,
     face_neighbors,
+    naive_sort,
 )
 from blockplan.shapes import (
     box_mesh,
@@ -427,13 +432,26 @@ def test_surface_shortcut_matches_per_pair_oracle(grid, seed):
     assert voxelize(mesh, spec).occupied == oracles.winding_voxelize(mesh, spec).occupied
 
 
-def rescale_outcome(rescale, mesh: TriangleMesh, cell: float, inventory: int):
+def rescale_outcome(mesh: TriangleMesh, cell: float, inventory: int):
+    """The count-only rescale loop's final grid, scale and iterations, or its
+    CannotFit message."""
     grid = voxelize(mesh, build_grid(bounding_box(mesh), cell))
     try:
-        final, scale, iterations = rescale(mesh, grid, inventory)
+        spec, filled, scale, iterations = rescale_until_fits(
+            mesh, cell, len(grid.occupied), inventory
+        )
     except CannotFit as exc:
         return str(exc)
-    return final, scale, iterations
+    return OccupancyGrid.from_array(spec, filled), scale, iterations
+
+
+def oracle_rescale_outcome(mesh: TriangleMesh, cell: float, inventory: int):
+    """The same from the loop that voxelizes every step in full."""
+    grid = voxelize(mesh, build_grid(bounding_box(mesh), cell))
+    try:
+        return oracles.rescale_until_fits(mesh, grid, inventory)
+    except CannotFit as exc:
+        return str(exc)
 
 
 RESCALE_MESHES = {
@@ -457,8 +475,8 @@ def test_pruned_rescale_matches_full_voxelize_loop(name):
     # 7 and 4 cm leave some designs wider than one cell but unable to shrink
     for cell in (10.0, 7.0, 4.0):
         for inventory in (1, 4, 12, 40):
-            ours = rescale_outcome(rescale_until_fits, mesh, cell, inventory)
-            assert ours == rescale_outcome(oracles.rescale_until_fits, mesh, cell, inventory)
+            ours = rescale_outcome(mesh, cell, inventory)
+            assert ours == oracle_rescale_outcome(mesh, cell, inventory)
             refusals += isinstance(ours, str)
     # the cases include both a fitted grid and a CannotFit message
     assert 0 < refusals < 12
@@ -480,8 +498,8 @@ def test_cannot_fit_reports_the_complete_count():
     stretch = 2.9 / 1.9
     mesh = corner_plates(10.5 * stretch, 19.0 * stretch)
     for inventory in (5, 6):
-        message = rescale_outcome(rescale_until_fits, mesh, 10.0, inventory)
-        assert message == rescale_outcome(oracles.rescale_until_fits, mesh, 10.0, inventory)
+        message = rescale_outcome(mesh, 10.0, inventory)
+        assert message == oracle_rescale_outcome(mesh, 10.0, inventory)
         assert message.startswith("8 components exceed")
 
 
@@ -533,6 +551,90 @@ def test_feasibility_rules_match_oracle(seed):
                 assert truncate_stacks(grid, stack, unsupported) == oracles.truncate_stacks(
                     grid, stack, unsupported
                 )
+
+
+def shaped_grid(rng: np.random.Generator, shape: str) -> OccupancyGrid:
+    """A seeded grid of one family: ``hollow`` boxes with holes in their
+    walls, ``bridged`` pillar pairs joined by a lintel that may span past
+    the overhang limit, ``single`` one-layer fills (on the ground or lifted)
+    and ``gaps`` random fills with whole empty layers."""
+    dims = (int(rng.integers(2, 8)), int(rng.integers(2, 8)), int(rng.integers(1, 8)))
+    fill = np.zeros(dims, dtype=bool)
+    if shape == "hollow":
+        fill[:] = True
+        fill[1:-1, 1:-1, 1:-1] = False
+        fill &= rng.random(dims) > 0.15
+    elif shape == "bridged":
+        top = dims[2] - 1
+        i = int(rng.integers(0, dims[0]))
+        j0, j1 = sorted(int(x) for x in rng.integers(0, dims[1], 2))
+        fill[i, j0, : int(rng.integers(0, dims[2] + 1))] = True
+        fill[i, j1, : int(rng.integers(0, dims[2] + 1))] = True
+        fill[i, j0 : j1 + 1, top] = True
+        fill |= rng.random(dims) < 0.05
+    elif shape == "single":
+        fill[:, :, int(rng.integers(0, dims[2]))] = rng.random(dims[:2]) < rng.uniform(0.2, 0.9)
+    else:
+        fill = rng.random(dims) < rng.uniform(0.2, 0.8)
+        fill[:, :, rng.random(dims[2]) < 0.4] = False
+    cells = frozenset(map(tuple, np.argwhere(fill).tolist()))
+    return OccupancyGrid(GridSpec((0.0, 0.0, 0.0), 5.0, dims), cells)
+
+
+@pytest.mark.parametrize("shape", ["random", "hollow", "bridged", "single", "gaps"])
+def test_array_rules_match_set_oracles(shape):
+    rng = np.random.default_rng([sum(map(ord, shape)), 13])
+    for _ in range(60):
+        grid = random_grid(rng) if shape == "random" else shaped_grid(rng, shape)
+        filled = grid.to_array()
+        assert OccupancyGrid.from_array(grid.spec, filled) == grid
+        for limit in range(5):
+            assert check_overhang(grid, limit) == oracles.check_overhang(grid, limit)
+            stack = limit + 1
+            assert check_vertical_stack(grid, stack) == oracles.check_vertical_stack(grid, stack)
+        if grid.occupied:
+            naive = check_sequence_connectivity(naive_sort(grid), grid)
+            assert feasibility._naive_gap(filled) == naive.details
+        else:
+            assert feasibility._naive_gap(filled) == ()
+
+
+def near_boundary_pairs(rng: np.random.Generator, count: int):
+    """Triangles and unit-half boxes placed so that one SAT axis projects
+    within a few ulps of +-(radius + SAT_EPSILON): a random triangle is
+    shifted along a random candidate axis until its nearest projection
+    lands on the bound, then nudged by a few ulps either way."""
+    half = 1.0
+    tris, centers = [], []
+    for _ in range(count):
+        tri = rng.uniform(-1.0, 1.0, (3, 3))
+        edge = tri[int(rng.integers(3))] - tri[int(rng.integers(3))]
+        unit = np.eye(3)[int(rng.integers(3))]
+        axis = [unit, np.cross(tri[1] - tri[0], tri[2] - tri[1]), np.cross(unit, edge)][
+            int(rng.integers(3))
+        ]
+        if not np.linalg.norm(axis) > 1e-6:
+            axis = unit
+        axis = axis / np.linalg.norm(axis)
+        bound = half * np.abs(axis).sum() + SAT_EPSILON
+        shift = bound - (tri @ axis).min()
+        tri = tri + shift * axis
+        steps = int(rng.integers(-4, 5))
+        tri = tri + steps * np.spacing(bound) * axis
+        tris.append(tri * (1.0 if rng.random() < 0.5 else -1.0))
+        centers.append(np.zeros(3))
+    return np.array(tris), np.array(centers), half
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sat_matches_plain_float_oracle_at_the_bounds(seed):
+    rng = np.random.default_rng([seed, 47])
+    tris, centers, half = near_boundary_pairs(rng, 400)
+    ours = discretizer._triangle_box_intersect(tris, centers, half)
+    expected = [oracles.triangle_box_intersect(t, c, half) for t, c in zip(tris, centers)]
+    assert ours.tolist() == expected
+    # the batch lands on both sides of the bounds
+    assert 0 < int(ours.sum()) < len(ours)
 
 
 def rider_design(rng: np.random.Generator) -> tuple[list, set]:
