@@ -17,6 +17,8 @@ DEFAULT_DWELL_S = 0.5  # gripper open/close dwell
 # Every grid lies inside the fitted workspace box, so capping the cells the
 # workspace holds at this cell size bounds the memory and time of voxelizing.
 MAX_GRID_CELLS = 2**24
+# The plan holds a sequence step and eight toolpath commands per component.
+MAX_INVENTORY = 2**16
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class AssemblyConfig:
         cells = math.prod(e / self.cell_size + 1 for e in self.workspace)
         if not cells <= MAX_GRID_CELLS:
             raise ValueError(f"workspace holds over {MAX_GRID_CELLS} cells of this size")
-        if self.inventory < 1:
-            raise ValueError("inventory must hold at least one component")
+        if not 1 <= self.inventory <= MAX_INVENTORY:
+            raise ValueError(f"inventory must hold 1 to {MAX_INVENTORY} components")
         if self.clearance < 0:
             raise ValueError("clearance must be >= 0")
         if self.overhang_limit < 0 or self.stack_limit < 1:

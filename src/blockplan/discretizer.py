@@ -25,8 +25,8 @@ DEFAULT_CELL_SIZE = 10.0  # cm, cubic component edge
 SAT_EPSILON = 1e-9
 
 # (triangle, cell) pairs per batch of the surface and interior tests; bounds
-# the temporaries at a few tens of MB whatever the mesh and grid size
-_BATCH_PAIRS = 32768
+# the temporaries near 2 MB per array whatever the mesh and grid size
+_BATCH_PAIRS = 8192
 
 # the x, y and z box normals, laid out axis, candidate, 1
 _BOX_NORMALS = np.eye(3)[:, :, None]
@@ -309,15 +309,22 @@ def _mark_interior(
     free = np.argwhere(~filled)
     corners = coords.transpose(1, 2, 0)[:, :, None, :]  # corner, axis, 1, triangle
     per_batch = max(1, _BATCH_PAIRS // len(coords))
+    per_slice = _BATCH_PAIRS // per_batch  # all triangles, unless they alone pass the budget
     for begin in range(0, len(free), per_batch):
         cells = free[begin:begin + per_batch]
-        # corner offsets from each center, laid out axis, cell, triangle
-        a, b, c = corners - (origin + (cells + 0.5) * cell).T[:, :, None]
-        la, lb, lc = (np.sqrt(_dot(v, v)) for v in (a, b, c))
-        det = _dot(a, (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
-                       b[0] * c[1] - b[1] * c[0]))
-        den = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la + _dot(c, a) * lb
-        w = np.arctan2(det, den).sum(axis=1) / (2.0 * np.pi)
+        centers = (origin + (cells + 0.5) * cell).T[:, :, None]
+        # each (cell, triangle) solid angle, filled a triangle slice at a time and
+        # summed at once along the triangles, so that w does not depend on the slices
+        angles = np.empty((len(cells), len(coords)))
+        for start in range(0, len(coords), per_slice):
+            # corner offsets from each center, laid out axis, cell, triangle
+            a, b, c = corners[..., start:start + per_slice] - centers
+            la, lb, lc = (np.sqrt(_dot(v, v)) for v in (a, b, c))
+            det = _dot(a, (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
+                           b[0] * c[1] - b[1] * c[0]))
+            den = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la + _dot(c, a) * lb
+            angles[:, start:start + per_slice] = np.arctan2(det, den)
+        w = angles.sum(axis=1) / (2.0 * np.pi)
         filled[tuple(cells[np.abs(w) > 0.5].T)] = True
 
 

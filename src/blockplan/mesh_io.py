@@ -12,7 +12,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, filterfalse, islice
 from operator import itemgetter
 
 import numpy as np
@@ -34,11 +34,17 @@ _WELD_OFFSETS = tuple(
     for dz in ((0, 1) if dx == dy == 0 else (-1, 0, 1))
 )
 
+# Text meshes are read a chunk of whole lines at a time: about this many bytes, cut
+# just after a "\n", "\r" or "\r\n", so that no line, "\r\n" pair or UTF-8 sequence is split
+_CHUNK_BYTES = 1 << 18
+_CHUNK_CUT = re.compile(rb"\r\n?|\n")
+_BOM = b"\xef\xbb\xbf"  # a UTF-8 byte order mark; the parsers drop it
 # str.splitlines breaks, "\r\n" first so that it stays one break
 _LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # The rest of each line whose first token is "vertex" in any case, or "v" or "f". Matches
 # start at the "\n" before the line, found faster than a MULTILINE "^" would be.
 _STL_VERTEX = re.compile(r"\n[^\S\n]*vertex(?!\S)(.*)", re.I)
+_STL_SOLID = re.compile(rb"\s*solid")
 _OBJ_RECORD = re.compile(r"\n[^\S\n]*([vf])(?!\S)(.*)")
 # blank and comment lines, then the first other line and its first token
 _OBJ_FIRST_LINE = re.compile(r"(?:[^\S\n]*(?:#.*)?\n)*[^\S\n]*((\S*).*)")
@@ -194,8 +200,8 @@ def _sniff(data: bytes) -> MeshFormat:
     # binary length first, as for an "stl" hint: a binary header may say "solid"
     if _binary_stl_length_consistent(data):
         return MeshFormat.STL_BINARY
-    data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte order mark; the parsers drop it
-    if re.match(rb"\s*solid", data) and b"facet" in data:
+    text_start = len(_BOM) if data.startswith(_BOM) else 0
+    if _STL_SOLID.match(data, text_start) and b"facet" in data:
         return MeshFormat.STL_ASCII
     if _looks_like_obj(data):
         return MeshFormat.OBJ
@@ -210,8 +216,13 @@ def _binary_stl_length_consistent(data: bytes) -> bool:
 
 
 def _looks_like_obj(data: bytes) -> bool:
-    # the first line that is neither blank nor a comment decides, wherever it is
-    first = _OBJ_FIRST_LINE.match(_text_lines(data.decode("utf-8", "surrogateescape")))
+    # the first line that is neither blank nor a comment decides, wherever it is;
+    # a chunk of such lines only leaves an empty rest, and the next chunk is read
+    for text in _text_chunks(data, "surrogateescape"):
+        if (first := _OBJ_FIRST_LINE.match(text))[1]:
+            break
+    else:
+        return False
     try:
         first[1].encode("utf-8")  # a byte that is not UTF-8 decoded to a lone surrogate
     except UnicodeEncodeError:
@@ -220,11 +231,12 @@ def _looks_like_obj(data: bytes) -> bool:
 
 
 def _parse_stl_ascii(data: bytes) -> TriangleMesh:
-    text = _text_lines(data.decode("utf-8-sig", errors="replace"))
-    verts, bad = _coordinates(_STL_VERTEX.findall(text))
-    if bad:
-        what = "vertex needs 3 coordinates" if bad[1] else "non-numeric vertex coordinate"
-        raise _malformed(_STL_VERTEX, text, bad[0], what)
+    vertices = _VertexRows()
+    for text in _text_chunks(data, "replace"):
+        if bad := vertices.add(_STL_VERTEX.findall(text)):
+            what = "vertex needs 3 coordinates" if bad[1] else "non-numeric vertex coordinate"
+            raise _malformed(_STL_VERTEX, data, "replace", bad[0], what)
+    verts = vertices.array()
     if len(verts) % 3 != 0:
         raise MalformedFile("vertex count is not a multiple of 3")
     tris = np.arange(len(verts), dtype=np.int64).reshape(-1, 3)
@@ -251,14 +263,24 @@ def _parse_stl_binary(data: bytes) -> TriangleMesh:
 
 
 def _parse_obj(data: bytes) -> TriangleMesh:
+    vertices, pieces, seen = _VertexRows(), [np.empty((0, 3), np.int64)], 0
     try:
-        text = _text_lines(data.decode("utf-8-sig"))
-    except UnicodeDecodeError as exc:
+        for text in _text_chunks(data, "strict"):
+            records = _OBJ_RECORD.findall(text)  # vn / vt / o / g / s / usemtl and friends are ignored
+            pieces.append(_obj_triangles(data, records, seen, vertices))
+            seen += len(records)
+    except UnicodeDecodeError as exc:  # also from the whole text that names a bad line
         raise MalformedFile("OBJ is not valid UTF-8") from exc
-    records = _OBJ_RECORD.findall(text)  # vn / vt / o / g / s / usemtl and friends are ignored
+    return TriangleMesh(vertices.array(), np.concatenate(pieces), MeshFormat.OBJ)
+
+
+def _obj_triangles(data: bytes, records: list, seen: int, vertices: "_VertexRows") -> np.ndarray:
+    """The triangles of one chunk's ``records``, which follow ``seen`` records of
+    ``data``; their v bodies are added to ``vertices``."""
+    before = vertices.count  # v records before this chunk
     is_face = np.array([kind == "f" for kind, _ in records], dtype=bool)
-    verts, bad = _coordinates([body for kind, body in records if kind == "v"])
-    bad_v = np.flatnonzero(~is_face)[bad[0]] if bad else len(records)  # the first bad v line
+    bad = vertices.add([body for kind, body in records if kind == "v"])
+    bad_v = np.flatnonzero(~is_face)[bad[0] - before] if bad else len(records)  # the first bad v
     faces = [body for kind, body in records if kind == "f"]
     sizes = np.fromiter(map(len, map(str.split, faces)), np.int64, len(faces))
     joined = " ".join(faces)
@@ -272,7 +294,7 @@ def _parse_obj(data: bytes) -> TriangleMesh:
         for k, head in enumerate(heads):
             with suppress(ValueError):
                 raw[k] = max(-1 << 62, min(int(head), 1 << 62))
-    defined = np.repeat(np.cumsum(~is_face)[is_face], sizes)  # vertices before each token's line
+    defined = before + np.repeat(np.cumsum(~is_face)[is_face], sizes)  # v records before each token
     idx = np.where(raw > 0, raw - 1, defined + raw)
     bad_token = (raw == 0) | (idx < 0) | (idx >= defined)
     bad_face = sizes < 3
@@ -284,15 +306,25 @@ def _parse_obj(data: bytes) -> TriangleMesh:
                 else f"bad face index {token!r}" if raw[k] == _NO_INDEX
                 else f"face index {int(heads[k])} out of range" if raw[k]
                 else "OBJ indices are 1-based, got 0")
-        raise _malformed(_OBJ_RECORD, text, np.flatnonzero(is_face)[face], what)
+        raise _malformed(_OBJ_RECORD, data, "strict", seen + np.flatnonzero(is_face)[face], what)
     if bad:
         what = "v needs 3 coordinates" if bad[1] else "non-numeric coordinate"
-        raise _malformed(_OBJ_RECORD, text, bad_v, what)
+        raise _malformed(_OBJ_RECORD, data, "strict", seen + bad_v, what)
     fans = sizes - 2  # polygons become a fan anchored at the first vertex
     first = np.repeat(np.cumsum(sizes) - sizes, fans)
     second = first + np.arange(len(first)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
-    tris = np.stack([idx[first], idx[second], idx[second + 1]], axis=1)
-    return TriangleMesh(verts, tris, MeshFormat.OBJ)
+    return np.stack([idx[first], idx[second], idx[second + 1]], axis=1)
+
+
+def _text_chunks(data: bytes, errors: str):
+    """The text of ``data`` after a byte order mark, through ``_text_lines`` one chunk
+    of whole lines at a time; a decode error is raised in the chunk that holds it."""
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    while start < len(data):
+        cut = _CHUNK_CUT.search(data, start + _CHUNK_BYTES - 1)
+        end = cut.end() if cut else len(data)
+        yield _text_lines(data[start:end].decode("utf-8", errors))
+        start = end
 
 
 def _text_lines(text: str) -> str:
@@ -303,31 +335,51 @@ def _text_lines(text: str) -> str:
     return "\n" + text
 
 
-def _malformed(pattern: re.Pattern, text: str, k: int, what: str) -> MalformedFile:
-    """The error ``what`` on the line of the k-th match of ``pattern`` in ``text``."""
-    line = text.count("\n", 0, [match.start() for match in pattern.finditer(text)][k]) + 1
+def _malformed(pattern: re.Pattern, data: bytes, errors: str, k: int, what: str) -> MalformedFile:
+    """The error ``what`` on the line of the k-th match of ``pattern`` in the text of
+    ``data``: only a refusal decodes a whole text mesh at once."""
+    text = _text_lines(data.decode("utf-8-sig", errors))
+    line = text.count("\n", 0, next(islice(pattern.finditer(text), k, None)).start()) + 1
     return MalformedFile(f"line {line}: {what}")
 
 
-def _coordinates(bodies: list[str]) -> tuple[np.ndarray | None, tuple[int, bool] | None]:
-    """Each body's first three tokens as floats, in one numpy conversion over the distinct
-    bodies; or the first position of a body with fewer tokens or a non-number, and whether
-    it was short."""
-    rows = dict.fromkeys(bodies)
-    tokens = list(chain.from_iterable(map(itemgetter(slice(3)), map(str.split, rows))))
-    try:  # a short body leaves too few tokens for the reshape
-        coords = np.array(tokens, dtype=np.float64).reshape(len(rows), 3)
-    except ValueError:  # only now is each body read on its own, to name the first bad one
-        for k, body in enumerate(bodies):
-            parts = body.split()
-            try:
-                float(parts[0]), float(parts[1]), float(parts[2])
-            except (IndexError, ValueError):
-                return None, (k, len(parts) < 3)
-    if len(rows) == len(bodies):  # each body is distinct, so rows keep their order
-        return coords, None
-    rows = dict(zip(rows, range(len(rows))))
-    return coords[np.fromiter(map(rows.__getitem__, bodies), np.int64, len(bodies))], None
+class _VertexRows:
+    """The first three tokens of vertex bodies as float rows, added a chunk at a
+    time: the bodies of a chunk not seen before go through one numpy conversion."""
+
+    def __init__(self) -> None:
+        self.rows: dict[str, int] = {}  # each distinct body's row
+        self.blocks = [np.empty((0, 3))]  # the rows, chunk by chunk
+        self.picks = []  # each body's row, chunk by chunk
+        self.count = 0  # bodies added
+
+    def add(self, bodies: list[str]) -> tuple[int, bool] | None:
+        """None; or the position among all bodies added of the first one with fewer
+        than three tokens or a non-number, and whether it was short."""
+        start = len(self.rows)
+        new = list(filterfalse(self.rows.__contains__, dict.fromkeys(bodies)))
+        tokens = list(chain.from_iterable(map(itemgetter(slice(3)), map(str.split, new))))
+        try:  # a short body leaves too few tokens for the reshape
+            self.blocks.append(np.array(tokens, dtype=np.float64).reshape(len(new), 3))
+        except ValueError:  # only now is each body read on its own, to name the first bad one
+            for k, body in enumerate(bodies):
+                parts = body.split()
+                try:
+                    float(parts[0]), float(parts[1]), float(parts[2])
+                except (IndexError, ValueError):
+                    return self.count + k, len(parts) < 3
+        self.rows.update(zip(new, range(start, start + len(new))))
+        self.picks.append(
+            np.arange(start, len(self.rows)) if len(new) == len(bodies)
+            else np.fromiter(map(self.rows.__getitem__, bodies), np.int64, len(bodies))
+        )
+        self.count += len(bodies)
+        return None
+
+    def array(self) -> np.ndarray:
+        coords = np.concatenate(self.blocks)
+        # with each body distinct, the rows are in order already
+        return coords if len(coords) == self.count else coords[np.concatenate(self.picks)]
 
 
 # --- serialization ---------------------------------------------------------

@@ -89,6 +89,22 @@ def parse_mesh(data: bytes, format_hint: MeshFormat | str | None = None) -> Tria
     return mesh
 
 
+def looks_like_obj(data: bytes) -> bool:
+    """``mesh_io._looks_like_obj`` as a loop over the lines of the whole text: the
+    first line that is neither blank nor a comment decides, and fails if not UTF-8."""
+    text = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8", "surrogateescape")
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            line.encode("utf-8")  # a byte that is not UTF-8 decoded to a lone surrogate
+        except UnicodeEncodeError:
+            return False
+        return parts[0] in ("v", "f", "vn", "vt", "o", "g", "s", "mtllib", "usemtl", "l")
+    return False
+
+
 def parse_outcome(parse, data: bytes, hint) -> tuple:
     """What ``parse(data, hint)`` gives, as comparable data: the mesh's vertex
     bytes, triangles and format, or the error's type and message."""

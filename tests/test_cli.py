@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from blockplan.cli import EXIT_OK, EXIT_USAGE, main
-from blockplan.config import MAX_GRID_CELLS, AssemblyConfig
+from blockplan.config import MAX_GRID_CELLS, MAX_INVENTORY, AssemblyConfig
 from blockplan.discretizer import build_grid, fit_to_workspace, voxelize
 from blockplan.errors import (
     BlockplanError,
@@ -714,6 +714,7 @@ def test_config_file_that_is_not_text(tmp_path):
         'cell_size="5"',
         "cell_size=.5",
         'source=["1",0,0]',
+        "inventory=65537",
     ],
 )
 def test_set_rejects_bad_values(demo_mesh_files, tmp_path, override):
@@ -890,6 +891,13 @@ def test_voxelize_rejects_too_fine_a_grid(demo_mesh_files, tmp_path, override):
     ])
     assert code == SchemaError.exit_code
     assert not (tmp_path / "out").exists()
+
+
+def test_inventory_cap_boundary():
+    assert MAX_INVENTORY == 2**16
+    AssemblyConfig(inventory=MAX_INVENTORY)
+    with pytest.raises(ValueError, match="inventory"):
+        AssemblyConfig(inventory=MAX_INVENTORY + 1)
 
 
 def test_grid_cell_cap_boundary():

@@ -225,6 +225,55 @@ def test_random_cases_match_oracle(family, seed):
     assert_same_grid(repaired, CELL_SIZES[seed % 3], WORKSPACE, closed=family == "design")
 
 
+def overlapping_parts(rng: np.random.Generator) -> TriangleMesh:
+    """A sphere and a box that cut into each other, unrepaired."""
+    sphere = icosphere(float(rng.uniform(3.5, 6.0)), (8.0, 8.0, 8.0), int(rng.integers(1, 3)))
+    box = box_mesh(tuple(rng.uniform(3.0, 6.0, 3)), tuple(rng.uniform(10.0, 13.0, 3)))
+    return as_soup(combine_meshes([sphere, box]), rng, flip=0.2)
+
+
+def closed_sphere(rng: np.random.Generator) -> TriangleMesh:
+    sphere = icosphere(float(rng.uniform(3.5, 6.0)), (8.0, 8.0, 8.0), int(rng.integers(1, 3)))
+    return as_soup(sphere, rng, flip=0.0)
+
+
+def punctured_sphere(rng: np.random.Generator) -> TriangleMesh:
+    sphere = closed_sphere(rng)
+    holes = rng.choice(sphere.triangle_count, int(rng.integers(1, 6)), replace=False)
+    return TriangleMesh(sphere.vertices, np.delete(sphere.triangles, holes, axis=0))
+
+
+BUDGET_FAMILIES = {
+    "closed": closed_sphere, "open": punctured_sphere, "overlapping": overlapping_parts,
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", sorted(BUDGET_FAMILIES))
+def test_occupancy_does_not_depend_on_the_batch_budget(monkeypatch, family, seed):
+    mesh = BUDGET_FAMILIES[family](np.random.default_rng([seed, 27]))
+    spec = build_grid(bounding_box(mesh), 2.5)
+    surface = discretizer.occupancy(mesh, spec, surface_limit=0)
+    grids = []
+    for budget in (1, 7, 8192, 32768):  # every mesh has more triangles than the first two
+        monkeypatch.setattr(discretizer, "_BATCH_PAIRS", budget)
+        grids.append(discretizer.occupancy(mesh, spec))
+    assert (grids[-1] & ~surface).any()  # the interior fills cells
+    for grid in grids[:-1]:
+        np.testing.assert_array_equal(grid, grids[-1])
+
+
+def test_interior_sliced_by_triangles_matches_one_slice(monkeypatch):
+    # 20 480 triangles: more than the default budget, fewer than 32 768
+    sphere = as_soup(icosphere(10.0, (12.0, 12.0, 12.0), 5), np.random.default_rng(27), flip=0.0)
+    assert discretizer._BATCH_PAIRS < sphere.triangle_count < 32768
+    spec = build_grid(bounding_box(sphere), 2.5)
+    sliced = discretizer.occupancy(sphere, spec)
+    monkeypatch.setattr(discretizer, "_BATCH_PAIRS", 32768)
+    np.testing.assert_array_equal(sliced, discretizer.occupancy(sphere, spec))
+    assert sliced.sum() > discretizer.occupancy(sphere, spec, surface_limit=0).sum()
+
+
 @pytest.mark.parametrize(
     "make", [oversized_block_mesh, shelf_mesh, tee_mesh, table_mesh], ids=lambda f: f.__name__
 )
@@ -1128,6 +1177,110 @@ def test_parser_matches_line_loop_oracle_at_the_conversion_edges(fmt):
         assert ours == oracles.parse_outcome(oracles.parse_mesh, data, fmt), data
         meshes += len(ours) == 3
     assert 30 < meshes < 270  # both meshes and errors are compared
+
+
+# chunk sizes in bytes: a line per chunk, cuts inside most lines, a few lines
+# per chunk, and the default
+CHUNK_SIZES = (1, 7, 64, mesh_io._CHUNK_BYTES)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@pytest.mark.parametrize("fmt", ["obj", "stl"])
+def test_parser_matches_line_loop_oracle_at_every_chunk_size(monkeypatch, fmt, chunk):
+    monkeypatch.setattr(mesh_io, "_CHUNK_BYTES", chunk)
+    test_parser_matches_line_loop_oracle_at_the_conversion_edges(fmt)
+
+
+# Short files parsed at every chunk size up to their length: each cut of the
+# text falls once on each byte. The second name says which oracle outcome.
+_STL_HEAD = b"solid cut\nfacet normal 0 0 1\nouter loop\n"
+_STL_TAIL = b"endloop\nendfacet\nendsolid cut\n"
+CHUNK_CASES = {
+    "stl-crlf": (_STL_HEAD + b"vertex 0 0 0\r\nvertex 1 0 0\r\nvertex 0 1 0\r\n" + _STL_TAIL,
+                 "stl"),
+    "stl-u2028": (_STL_HEAD + "vertex 0 0 0\u2028vertex 1 0 0\n\u2028vertex 0 1 0\n".encode()
+                  + _STL_TAIL, "stl"),
+    "stl-bom": (b"\xef\xbb\xbf" + _STL_HEAD + b"vertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\n"
+                + _STL_TAIL, "stl"),
+    # a truncated sequence just before a break and a stray byte just after it
+    "stl-not-utf8": (_STL_HEAD + b"vertex 0 0 0\nvertex 1 0 0\n\xe2\x82\n\xffvertex 0 0 0\n"
+                     b"vertex 0 1 0\n" + _STL_TAIL, "stl"),
+    "stl-late-bad-line": (_STL_HEAD + b"vertex 0 0 0\r\nvertex 1 0 0\n" * 4
+                          + "\u2028vertex 0 1 x\n".encode() + _STL_TAIL, "stl"),
+    "stl-cr": (_STL_HEAD.replace(b"\n", b"\r") + b"vertex 0 0 0\rvertex 1 0 0\r\rvertex 0 1 x\r",
+               "stl"),
+    "stl-long-line": (_STL_HEAD + b"vertex 0 0 0 " + b"9" * 300 + b"\nvertex 1 0 0\n"
+                      b"vertex 0 1 0\n" + _STL_TAIL, "stl"),
+    "obj-crlf-u2028": ("v 0 0 0\r\nv 1 0 0\u2028v 0 1 0\r\nf 1 2 3\r\n".encode(), "obj"),
+    "obj-cr": (b"v 0 0 0\rv 1 0 0\r\n\rv 0 1 0\rf 1 2 3\r\rf 1 2 -4\r", "obj"),
+    "obj-bom": (b"\xef\xbb\xbfv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "obj"),
+    "obj-not-utf8-after-a-cut": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\n\xe2\x82\nf 1 2 3\n", "obj"),
+    # the bad v line comes first, the byte that is not UTF-8 lines later: the byte wins
+    "obj-not-utf8-after-a-bad-line": (b"v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n# \xff\n", "obj"),
+    "obj-late-bad-face": (b"v 0 0 0\r\nv 1 0 0\nv 0 1 0\n" + b"f 1 2 3\n" * 6 + b"f 1 2 4\n",
+                          "obj"),
+    "obj-relative": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -4/1 -2//1 -1\n"
+                     b"v 1 1 1\nf 1 -1 -3\n", "obj"),
+    "obj-long-line": (b"v 0 0 0 " + b"7" * 300 + b"\nv 1 0 0\nv 0 1 0\nf 1 2 -1 " + b"1 " * 200
+                      + b"\n", "obj"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_parser_matches_line_loop_oracle_at_every_cut(monkeypatch, name):
+    data, hint = CHUNK_CASES[name]
+    expected = oracles.parse_outcome(oracles.parse_mesh, data, hint)
+    for chunk in range(1, len(data) + 1):
+        monkeypatch.setattr(mesh_io, "_CHUNK_BYTES", chunk)
+        assert oracles.parse_outcome(parse_mesh, data, hint) == expected, chunk
+
+
+def test_text_chunks_end_just_after_each_cr_lf_or_crlf(monkeypatch):
+    monkeypatch.setattr(mesh_io, "_CHUNK_BYTES", 1)
+    data = "\ufeffa\rb\r\nc\nd\u2028e".encode()
+    assert list(mesh_io._text_chunks(data, "strict")) == ["\na\n", "\nb\n", "\nc\n", "\nd\ne"]
+
+
+def test_chunk_cases_reach_every_outcome():
+    outcomes = {
+        name: oracles.parse_outcome(oracles.parse_mesh, data, hint)
+        for name, (data, hint) in CHUNK_CASES.items()
+    }
+    assert outcomes["stl-late-bad-line"] == (MalformedFile, "line 13: non-numeric vertex coordinate")
+    assert outcomes["obj-late-bad-face"] == (MalformedFile, "line 10: face index 4 out of range")
+    assert outcomes["stl-cr"] == (MalformedFile, "line 7: non-numeric vertex coordinate")
+    assert outcomes["obj-cr"] == (MalformedFile, "line 7: face index -4 out of range")
+    for name in ("obj-not-utf8-after-a-cut", "obj-not-utf8-after-a-bad-line"):
+        assert outcomes[name] == (MalformedFile, "OBJ is not valid UTF-8")
+    assert outcomes["obj-relative"][1] == [[0, 1, 2], [0, 2, 3], [0, 4, 2]]
+    assert len(outcomes["stl-not-utf8"]) == 3  # the replaced bytes sit on no vertex line
+
+
+SNIFF_CASES = [
+    b"\n\n# c\n  v 0 0 0\n",
+    ("# " + "x" * 300 + "\n\r\n\u2028\t# y\nvn 0 0 1\n").encode(),
+    b"\xef\xbb\xbf# c\nf 1 2 3\n",
+    b"\xef\xbb\xbf\xef\xbb\xbfv 0 0 0\n",
+    b"# \xff\xfe\n\nusemtl m\n",
+    b"# c\n\nv\xff 0 0 0\n",
+    b"# c\n\nx 0 0 0\nv 0 0 0\n",
+    b"# only\n\n# comments",
+    b"\n \n\t\n",
+    b"# c\n\xe2\x82\n",
+    b"",
+]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_obj_sniff_matches_whole_text_oracle_at_every_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(mesh_io, "_CHUNK_BYTES", chunk)
+    for data in SNIFF_CASES:
+        assert mesh_io._looks_like_obj(data) == oracles.looks_like_obj(data), data
+    # the deciding line beyond the first chunk
+    far = b"# " + b"x" * (mesh_io._CHUNK_BYTES + 5) + b"\n\n"
+    for line, verdict in ((b"v 0 0 0\n", True), (b"\xff 0 0\n", False), (b"z\n", False)):
+        assert mesh_io._looks_like_obj(far + line) is verdict
+        assert oracles.looks_like_obj(far + line) is verdict
 
 
 def winding_tangle(rng: np.random.Generator) -> np.ndarray:
