@@ -47,11 +47,8 @@ from .feasibility import (
     check_overhang,
     check_sequence_connectivity,
     check_vertical_stack,
-    remove_overhangs,
-    rescale_until_fits,
     run_feasibility,
     simulate_assembly,
-    truncate_stacks,
     verify_report_consistency,
 )
 from .frontend import (
@@ -77,7 +74,6 @@ from .mesh_io import (
 from .sequencer import (
     AssemblySequence,
     connectivity_sort,
-    naive_sort,
 )
 from .toolpath import (
     Command,
@@ -145,17 +141,13 @@ __all__ = [
     "fallback_filter",
     "filter_request",
     "fit_to_workspace",
-    "naive_sort",
     "parse_mesh",
     "parse_toolpath",
     "plan_toolpath",
-    "remove_overhangs",
     "repair_mesh",
-    "rescale_until_fits",
     "run_feasibility",
     "serialize_mesh",
     "simulate_assembly",
-    "truncate_stacks",
     "verify_report_consistency",
     "voxelize",
     "__version__",

@@ -77,8 +77,8 @@ class AssemblyConfig:
             raise ValueError("overhang_limit >= 0 and stack_limit >= 1 required")
         if not (0 < self.velocity < math.inf and 0 < self.acceleration < math.inf):
             raise ValueError("velocity and acceleration must be positive and finite")
-        if self.gripper_dwell_s < 0 or self.motion_unit_scale <= 0:
-            raise ValueError("gripper_dwell_s >= 0 and motion_unit_scale > 0 required")
+        if self.gripper_dwell_s < 0 or not 0 < self.motion_unit_scale < math.inf:
+            raise ValueError("gripper_dwell_s >= 0 and a finite motion_unit_scale > 0 required")
         if self.weld_tolerance < 0:
             raise ValueError("weld_tolerance must be >= 0")
         if self.mesh_unit_scale <= 0:

@@ -3,9 +3,10 @@ post-planning validation.
 
 Four checks gate a discretized design: component count against the
 inventory, cantilever overhang, free-standing stack height, and placement
-connectivity. Each failed check has a deterministic rewrite: iterative
-rescaling, overhang removal, stack truncation, and connectivity-aware
-re-sorting. One placement replay serves the connectivity check and the build
+connectivity. ``run_feasibility`` applies each failed check's deterministic
+rewrite: iterative rescaling, overhang removal and stack truncation (each
+prunes the array until the configured rules pass), connectivity re-sorting.
+One placement replay serves the connectivity check and the build
 simulation; the report cross-check reruns the configured checks.
 """
 from __future__ import annotations
@@ -49,10 +50,6 @@ class CheckResult:
     @property
     def status(self) -> str:
         return "failed" if self.details else "passed"
-
-    @property
-    def passed(self) -> bool:
-        return not self.details
 
     @property
     def failed(self) -> bool:
@@ -149,18 +146,6 @@ def _prune(filled: np.ndarray, *rules: Callable[[np.ndarray], np.ndarray]) -> np
         filled = filled & ~offenders
 
 
-def remove_overhangs(
-    grid: OccupancyGrid, max_unsupported: int = DEFAULT_OVERHANG_LIMIT
-) -> OccupancyGrid:
-    """Delete overhang offenders until the check passes.
-
-    Removal can orphan cells above (their support vanishes), so the sweep
-    repeats to a fixpoint. Grids that already pass come back unchanged.
-    """
-    rule = partial(_overhang, max_unsupported=max_unsupported)
-    return OccupancyGrid.from_array(grid.spec, _prune(grid.to_array(), rule))
-
-
 def check_vertical_stack(
     grid: OccupancyGrid, max_stack: int = DEFAULT_STACK_LIMIT
 ) -> CheckResult:
@@ -179,21 +164,6 @@ def _stack(filled: np.ndarray, max_stack: int) -> np.ndarray:
     free = filled & ~_lateral(filled)
     run = np.cumsum(free, axis=2)
     return filled & (run - np.maximum.accumulate(np.where(free, 0, run), axis=2) > max_stack)
-
-
-def truncate_stacks(
-    grid: OccupancyGrid,
-    max_stack: int = DEFAULT_STACK_LIMIT,
-    max_unsupported: int = DEFAULT_OVERHANG_LIMIT,
-) -> OccupancyGrid:
-    """Cut free-standing columns down to ``max_stack`` cells.
-
-    Truncation can orphan whatever rested on the removed cells, so the
-    overhang sweep runs interleaved until both rules hold.
-    """
-    rules = (partial(_stack, max_stack=max_stack),
-             partial(_overhang, max_unsupported=max_unsupported))
-    return OccupancyGrid.from_array(grid.spec, _prune(grid.to_array(), *rules))
 
 
 def _replay(seq: AssemblySequence, grid: OccupancyGrid) -> Iterator[tuple[Cell, bool, bool]]:
@@ -412,5 +382,5 @@ def verify_report_consistency(
     if not grid.occupied or report.final_component_count != len(grid.occupied):
         return False
     filled = grid.to_array()
-    return check_component_count(grid, config.inventory).passed and not any(
+    return len(grid.occupied) <= config.inventory and not any(
         rule(filled).any() for rule in _configured_rules(config))

@@ -1,8 +1,9 @@
 """Assembly sequencing: turn an occupancy grid into a placement order.
 
-Components are placed layer by layer from the ground up. The naive order
-sorts cells by (z, x, y); the connectivity-aware order additionally
-guarantees each placement touches the structure built so far.
+Components are placed layer by layer from the ground up, and each placement
+touches the structure built so far. The naive (z, x, y) order is never
+built: the first-pass connectivity check reads its first gap off the
+occupancy array (``feasibility._naive_gap``).
 """
 from __future__ import annotations
 
@@ -52,14 +53,6 @@ class AssemblySequence:
             return cls(json.loads(data)["cells"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"not a valid sequence document: {exc}") from exc
-
-
-def naive_sort(grid: OccupancyGrid) -> AssemblySequence:
-    """Cells sorted by layer then x then y. Ignores connectivity."""
-    if not grid.occupied:
-        raise EmptyAssembly("grid has no occupied cells")
-    ordered = sorted(grid.occupied, key=lambda c: (c[2], c[0], c[1]))
-    return AssemblySequence(tuple(ordered))
 
 
 def require_coverage(seq: AssemblySequence, grid: OccupancyGrid) -> None:

@@ -162,8 +162,8 @@ def estimate_duration(
     velocity and acceleration for setups whose units differ from mm/s.
     Raises :class:`ConfigViolation` when the total is not a finite float.
     """
-    if dwell_s < 0 or unit_scale <= 0:
-        raise ValueError("dwell_s must be >= 0 and unit_scale positive")
+    if not (dwell_s >= 0 and 0 < unit_scale < math.inf):
+        raise ValueError("dwell_s must be >= 0 and unit_scale positive and finite")
     v = path.params.velocity * unit_scale
     a = path.params.acceleration * unit_scale
     if not (v > 0 and a > 0):  # the scaled limits underflowed

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from blockplan import AssemblyConfig, GridSpec, OccupancyGrid
+from blockplan.feasibility import _configured_rules, _prune
 from blockplan.sequencer import face_neighbors
 from blockplan.shapes import (
     oversized_block_mesh,
@@ -46,6 +47,16 @@ def make_grid(cells, dims=(6, 5, 6), cell_size=10.0, origin=(0.0, 0.0, 0.0)):
 @pytest.fixture
 def grid_factory():
     return make_grid
+
+
+def pruned(grid: OccupancyGrid, stacks: bool = False, **limits) -> OccupancyGrid:
+    """``grid`` after the rewrite ``run_feasibility`` ships: ``_prune`` with the
+    rules ``_configured_rules`` gives at the ``AssemblyConfig`` ``limits``.
+    That is the overhang rule alone (``remove_overhangs`` in the report), or
+    with ``stacks`` the stack rule, then the overhang rule (``truncate_stacks``)."""
+    overhang, stack = _configured_rules(AssemblyConfig(**limits))
+    rules = (stack, overhang) if stacks else (overhang,)
+    return OccupancyGrid.from_array(grid.spec, _prune(grid.to_array(), *rules))
 
 
 def random_buildable_grid(

@@ -5,9 +5,9 @@ These are the original per-line, per-vertex, per-triangle and per-cell
 loops of ``blockplan.mesh_io`` and ``blockplan.discretizer``, the per-layer
 overhang search, run-list stack rule, full-voxelize rescale loop and rewrite
 orchestration and column-scan build replay of ``blockplan.feasibility``,
-the all-pairs distance sort of ``blockplan.sequencer``, the
-``json.dumps(indent=2)`` writers of every JSON artifact, the per-command
-build-time walk of ``blockplan.toolpath``, the per-value
+the naive (k, i, j) order and the all-pairs distance sort of
+``blockplan.sequencer``, the ``json.dumps(indent=2)`` writers of every JSON
+artifact, the per-command build-time walk of ``blockplan.toolpath``, the per-value
 grid and sequence readers, and the restart loop that strips request
 scaffolding in ``blockplan.frontend``.
 The randomized equivalence tests require the current implementations to
@@ -69,7 +69,7 @@ from blockplan.mesh_io import (
     bounding_box,
     finite_extent,
 )
-from blockplan.sequencer import AssemblySequence, face_neighbors, naive_sort, require_coverage
+from blockplan.sequencer import AssemblySequence, face_neighbors, require_coverage
 from blockplan.toolpath import CommandOp, Toolpath
 
 # --- parsing -------------------------------------------------------------------
@@ -648,6 +648,15 @@ def run_feasibility(
 # --- sequencing ------------------------------------------------------------------
 
 
+def naive_sort(grid: OccupancyGrid) -> AssemblySequence:
+    """Cells sorted by layer then x then y. Ignores connectivity; the first
+    gap of this order is what ``feasibility._naive_gap`` reads off the array."""
+    if not grid.occupied:
+        raise EmptyAssembly("grid has no occupied cells")
+    ordered = sorted(grid.occupied, key=lambda c: (c[2], c[0], c[1]))
+    return AssemblySequence(tuple(ordered))
+
+
 def connectivity_sort(grid: OccupancyGrid) -> tuple[Cell, ...]:
     """Placement order picking, per layer, the candidate with the smallest
     Manhattan distance to any placed cell, ties broken by (i, j)."""
@@ -803,8 +812,8 @@ def emit_toolpath_json(path: Toolpath) -> bytes:
 
 def estimate_duration(path: Toolpath, dwell_s: float = 0.5, unit_scale: float = 1.0) -> float:
     """``toolpath.estimate_duration`` timing every segment as it walks the commands."""
-    if dwell_s < 0 or unit_scale <= 0:
-        raise ValueError("dwell_s must be >= 0 and unit_scale positive")
+    if not (dwell_s >= 0 and 0 < unit_scale < math.inf):
+        raise ValueError("dwell_s must be >= 0 and unit_scale positive and finite")
     v = path.params.velocity * unit_scale
     a = path.params.acceleration * unit_scale
     if not (v > 0 and a > 0):  # the scaled limits underflowed

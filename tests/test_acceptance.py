@@ -24,7 +24,7 @@ from blockplan.feasibility import (
 from blockplan.config import AssemblyConfig
 from blockplan.frontend import ObjectRequest, Rejection, fallback_filter
 from blockplan.mesh_io import bounding_box
-from blockplan.sequencer import connectivity_sort, naive_sort
+from blockplan.sequencer import connectivity_sort
 from blockplan.shapes import box_mesh, icosphere
 from blockplan.toolpath import (
     CommandOp,
@@ -39,6 +39,7 @@ from blockplan.toolpath import (
     plan_toolpath,
 )
 from tests.conftest import make_grid, random_buildable_grid
+from tests.oracles import naive_sort
 
 
 @contextmanager
@@ -93,10 +94,10 @@ def test_acceptance_2_failure_handling_closure(demo_mesh_files, tmp_path, capsys
             assert report["final_component_count"] <= 40
             # Every check must pass when recomputed on the handled grid.
             grid = OccupancyGrid.from_json((out / "grid.json").read_bytes())
-            assert check_component_count(grid, config.inventory).passed
-            assert check_overhang(grid, config.overhang_limit).passed
-            assert check_vertical_stack(grid, config.stack_limit).passed
-            assert check_sequence_connectivity(connectivity_sort(grid), grid).passed
+            assert not check_component_count(grid, config.inventory).failed
+            assert not check_overhang(grid, config.overhang_limit).failed
+            assert not check_vertical_stack(grid, config.stack_limit).failed
+            assert not check_sequence_connectivity(connectivity_sort(grid), grid).failed
             code = main([
                 "validate", "--grid", str(out / "grid.json"),
                 "--sequence", str(out / "sequence.json"), "--out-dir", str(out),
@@ -165,7 +166,7 @@ def test_acceptance_5_sequencing_properties(capsys, config):
             assert set(seq.cells) == grid.occupied
             layers = [c[2] for c in seq.cells]
             assert layers == sorted(layers)
-            assert check_sequence_connectivity(seq, grid).passed
+            assert not check_sequence_connectivity(seq, grid).failed
             assert simulate_assembly(seq, grid, config).ok
             assert set(naive_sort(grid).cells) == set(seq.cells)
         assert time.perf_counter() - start < 10.0

@@ -775,7 +775,9 @@ def test_deeply_nested_json_exits_with_its_code(tmp_path, argv, expected):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", ["motion_unit_scale=0", "gripper_dwell_s=-1"])
+@pytest.mark.parametrize(
+    "override", ["motion_unit_scale=0", "motion_unit_scale=1e309", "gripper_dwell_s=-1"]
+)
 def test_toolpath_rejects_bad_motion_values(tmp_path, override):
     grid = make_grid([(0, 0, 0)])
     (tmp_path / "grid.json").write_bytes(grid.to_json())

@@ -18,15 +18,13 @@ from blockplan.feasibility import (
     check_overhang,
     check_sequence_connectivity,
     check_vertical_stack,
-    remove_overhangs,
     rescale_until_fits,
     run_feasibility,
-    truncate_stacks,
 )
 from blockplan.mesh_io import bounding_box
 from blockplan.sequencer import connectivity_sort
 from blockplan.shapes import box_mesh
-from tests.conftest import make_grid
+from tests.conftest import make_grid, pruned
 
 
 def column(i: int, j: int, height: int, base: int = 0):
@@ -37,10 +35,10 @@ def all_checks_pass(grid, config: AssemblyConfig) -> bool:
     # Connectivity counts as satisfied when some buildable order exists,
     # not just the naive one; connectivity_sort raises if there is none.
     return (
-        check_component_count(grid, config.inventory).passed
-        and check_overhang(grid, config.overhang_limit).passed
-        and check_vertical_stack(grid, config.stack_limit).passed
-        and check_sequence_connectivity(connectivity_sort(grid), grid).passed
+        not check_component_count(grid, config.inventory).failed
+        and not check_overhang(grid, config.overhang_limit).failed
+        and not check_vertical_stack(grid, config.stack_limit).failed
+        and not check_sequence_connectivity(connectivity_sort(grid), grid).failed
     )
 
 
@@ -52,7 +50,7 @@ def test_count_at_inventory_limit_passes(grid_factory):
     grid = grid_factory(cells + column(1, 1, 3, base=1) + column(2, 2, 3, base=1)
                         + column(3, 3, 3, base=1) + column(4, 4, 3, base=1))
     assert len(grid.occupied) == 40
-    assert check_component_count(grid, 40).passed
+    assert not check_component_count(grid, 40).failed
 
 
 def test_count_over_inventory_fails_with_count(grid_factory):
@@ -64,7 +62,7 @@ def test_count_over_inventory_fails_with_count(grid_factory):
 
 
 def test_count_single_cell_single_inventory(grid_factory):
-    assert check_component_count(grid_factory([(0, 0, 0)]), 1).passed
+    assert not check_component_count(grid_factory([(0, 0, 0)]), 1).failed
 
 
 def test_count_rejects_empty_grid(grid_factory):
@@ -82,7 +80,7 @@ def overhang_arm(length: int):
 
 def test_overhang_within_limit_passes(grid_factory):
     grid = grid_factory(overhang_arm(3))
-    assert check_overhang(grid, max_unsupported=3).passed
+    assert not check_overhang(grid, max_unsupported=3).failed
 
 
 def test_overhang_past_limit_reports_offender(grid_factory):
@@ -93,7 +91,7 @@ def test_overhang_past_limit_reports_offender(grid_factory):
 
 
 def test_overhang_single_ground_cell(grid_factory):
-    assert check_overhang(grid_factory([(0, 0, 0)])).passed
+    assert not check_overhang(grid_factory([(0, 0, 0)])).failed
 
 
 def test_overhang_unreachable_cell_counts_as_infinite(grid_factory):
@@ -112,23 +110,23 @@ def test_overhang_distance_is_per_layer(grid_factory):
 
 def test_remove_overhangs_deletes_only_offenders(grid_factory):
     grid = grid_factory(overhang_arm(5))
-    trimmed = remove_overhangs(grid, max_unsupported=3)
+    trimmed = pruned(grid, overhang_limit=3)
     assert trimmed.occupied == grid.occupied - {(4, 0, 1), (5, 0, 1)}
-    assert check_overhang(trimmed, max_unsupported=3).passed
+    assert not check_overhang(trimmed, max_unsupported=3).failed
 
 
 def test_remove_overhangs_keeps_passing_grid(grid_factory):
     grid = grid_factory(overhang_arm(3))
-    assert remove_overhangs(grid, max_unsupported=3).occupied == grid.occupied
+    assert pruned(grid, overhang_limit=3).occupied == grid.occupied
 
 
 def test_remove_overhangs_sweeps_orphans_to_fixpoint(grid_factory):
     # Deleting the arm tip strands the cell that rested on it; the next
     # sweep must catch that orphan too.
     grid = grid_factory(overhang_arm(4) + [(4, 0, 2)])
-    trimmed = remove_overhangs(grid, max_unsupported=3)
+    trimmed = pruned(grid, overhang_limit=3)
     assert trimmed.occupied == grid.occupied - {(4, 0, 1), (4, 0, 2)}
-    assert check_overhang(trimmed).passed
+    assert not check_overhang(trimmed).failed
 
 
 # --- vertical stack ------------------------------------------------------
@@ -141,14 +139,14 @@ def test_stack_of_five_fails_above_allowed_height(grid_factory):
 
 
 def test_stack_of_four_passes(grid_factory):
-    assert check_vertical_stack(grid_factory(column(0, 0, 4)), max_stack=4).passed
+    assert not check_vertical_stack(grid_factory(column(0, 0, 4)), max_stack=4).failed
 
 
 def test_braced_cell_splits_the_run(grid_factory):
     # Six cells tall, but the lateral brace at height 3 leaves only runs of
     # three and two free-standing cells.
     grid = grid_factory(column(0, 0, 6) + [(1, 0, 3)])
-    assert check_vertical_stack(grid, max_stack=4).passed
+    assert not check_vertical_stack(grid, max_stack=4).failed
 
 
 def test_stack_reports_all_offending_columns_sorted(grid_factory):
@@ -159,7 +157,7 @@ def test_stack_reports_all_offending_columns_sorted(grid_factory):
 
 def test_truncate_keeps_bottom_of_tall_column(grid_factory):
     grid = grid_factory(column(0, 0, 6))
-    trimmed = truncate_stacks(grid, max_stack=4)
+    trimmed = pruned(grid, stacks=True, stack_limit=4)
     assert trimmed.occupied == frozenset(column(0, 0, 4))
 
 
@@ -167,15 +165,15 @@ def test_truncate_orphaned_rider_swept_by_overhang_pass(grid_factory):
     # The rider braces the topmost cell, so the run below it is the
     # offender; cutting that run orphans both the top cell and the rider.
     grid = grid_factory(column(0, 0, 6) + [(1, 0, 5)])
-    trimmed = truncate_stacks(grid, max_stack=4, max_unsupported=3)
+    trimmed = pruned(grid, stacks=True, stack_limit=4, overhang_limit=3)
     assert trimmed.occupied == frozenset(column(0, 0, 4))
-    assert check_vertical_stack(trimmed).passed
-    assert check_overhang(trimmed).passed
+    assert not check_vertical_stack(trimmed).failed
+    assert not check_overhang(trimmed).failed
 
 
 def test_truncate_keeps_passing_grid(grid_factory):
     grid = grid_factory(column(0, 0, 4) + [(1, 0, 0)])
-    assert truncate_stacks(grid).occupied == grid.occupied
+    assert pruned(grid, stacks=True).occupied == grid.occupied
 
 
 # --- rescaling -----------------------------------------------------------
@@ -355,13 +353,13 @@ def test_rewrites_only_remove_cells_random_grids():
     for _ in range(50):
         cells = rng.sample(universe, rng.randint(1, 30))
         grid = make_grid(cells, dims=(nx, ny, nz))
-        trimmed = remove_overhangs(grid)
+        trimmed = pruned(grid)
         assert trimmed.occupied <= grid.occupied
-        assert check_overhang(trimmed).passed
-        cut = truncate_stacks(grid)
+        assert not check_overhang(trimmed).failed
+        cut = pruned(grid, stacks=True)
         assert cut.occupied <= grid.occupied
-        assert check_vertical_stack(cut).passed
-        assert check_overhang(cut).passed
+        assert not check_vertical_stack(cut).failed
+        assert not check_overhang(cut).failed
 
 
 def test_report_json_document(demo_meshes, config):
@@ -382,6 +380,5 @@ def test_report_json_document(demo_meshes, config):
 def test_check_result_status_objects(demo_meshes, config):
     _, report = run_feasibility(demo_meshes["table"], config, failure_handling=False)
     for result in report.results:
-        assert result.passed == (result.status == "passed")
-        assert result.failed == (not result.passed)
+        assert result.failed == (result.status == "failed")
         assert bool(result.details) == result.failed

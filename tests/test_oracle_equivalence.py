@@ -17,12 +17,14 @@ per-pair SAT oracle, and the rescale loop that skips the interior on steps
 that cannot fit matches the loop that voxelizes every step in full, errors
 included. Seeded triangles whose projection on one SAT axis lands within a
 few ulps of the separating bound hold the all-axes SAT to the per-pair
-plain-float oracle. Random occupancy grids hold the overhang and stack checks, both
-rewrites and the placement order (or its error) to the old per-layer
-searches; random, hollow, bridged, single-layer and empty-layer grids hold
-the array rules, offenders included, to the per-layer and run-list oracles
-and the naive order's connectivity rule to a replay of ``naive_sort``, and random placement orders hold the build simulation to the old
-column scan.
+plain-float oracle. Random occupancy grids hold the overhang and stack
+checks, both rewrites (``_prune`` with the configured rules, as
+``run_feasibility`` applies them) and the placement order (or its error) to
+the old per-layer searches; random, hollow, bridged, single-layer and
+empty-layer grids hold the array rules, offenders included, to the per-layer
+and run-list oracles and the naive order's connectivity rule to a replay of
+the reference ``naive_sort``, which only ``tests/oracles.py`` keeps; random
+placement orders hold the build simulation to the old column scan.
 ``run_feasibility`` writes the grid and report bytes (or the error) of the
 orchestration it replaced, on the demos and on cell designs with riders on
 tall columns, over overhang limits 0-3, stack limits 1-4 and both
@@ -68,11 +70,9 @@ from blockplan.feasibility import (
     check_sequence_connectivity,
     check_vertical_stack,
     SimulationReport,
-    remove_overhangs,
     rescale_until_fits,
     run_feasibility,
     simulate_assembly,
-    truncate_stacks,
 )
 from blockplan.mesh_io import (
     DEFAULT_WELD_TOLERANCE,
@@ -87,7 +87,6 @@ from blockplan.sequencer import (
     AssemblySequence,
     connectivity_sort,
     face_neighbors,
-    naive_sort,
 )
 from blockplan.shapes import (
     box_mesh,
@@ -111,6 +110,7 @@ from blockplan.toolpath import (
     plan_toolpath,
 )
 from tests import oracles
+from tests.conftest import pruned
 
 CELL_SIZES = (2.5, 5.0, 10.0)
 # small enough that the scalar oracle stays fast at 2.5 cm cells
@@ -593,13 +593,12 @@ def test_feasibility_rules_match_oracle(seed):
         for limit in range(5):
             assert list(check_overhang(grid, limit).details) == oracles.overhang_offenders(grid, limit)
             assert check_overhang(grid, limit) == oracles.check_overhang(grid, limit)
-            assert remove_overhangs(grid, limit) == oracles.remove_overhangs(grid, limit)
+            assert pruned(grid, overhang_limit=limit) == oracles.remove_overhangs(grid, limit)
             stack = limit + 1
             assert check_vertical_stack(grid, stack) == oracles.check_vertical_stack(grid, stack)
             for unsupported in (0, 2):
-                assert truncate_stacks(grid, stack, unsupported) == oracles.truncate_stacks(
-                    grid, stack, unsupported
-                )
+                ours = pruned(grid, stacks=True, stack_limit=stack, overhang_limit=unsupported)
+                assert ours == oracles.truncate_stacks(grid, stack, unsupported)
 
 
 def shaped_grid(rng: np.random.Generator, shape: str) -> OccupancyGrid:
@@ -642,7 +641,7 @@ def test_array_rules_match_set_oracles(shape):
             stack = limit + 1
             assert check_vertical_stack(grid, stack) == oracles.check_vertical_stack(grid, stack)
         if grid.occupied:
-            naive = check_sequence_connectivity(naive_sort(grid), grid)
+            naive = check_sequence_connectivity(oracles.naive_sort(grid), grid)
             assert feasibility._naive_gap(filled) == naive.details
         else:
             assert feasibility._naive_gap(filled) == ()
@@ -788,11 +787,11 @@ def test_overhang_pass_guarantees_a_connected_sort():
     for _ in range(300):
         grid = random_grid(rng)
         for limit in range(4):
-            for candidate in (grid, remove_overhangs(grid, limit)):
+            for candidate in (grid, pruned(grid, overhang_limit=limit)):
                 if not candidate.occupied or check_overhang(candidate, limit).failed:
                     continue
                 order = connectivity_sort(candidate)
-                assert check_sequence_connectivity(order, candidate).passed
+                assert not check_sequence_connectivity(order, candidate).failed
                 cases += 1
     assert cases >= 1000
 
@@ -883,7 +882,7 @@ def test_planned_toolpath_round_trips_through_the_json_module(seed):
     rng = np.random.default_rng([seed, 41])
     grid = random_grid(rng)
     while check_overhang(grid, 0).failed or not grid.occupied:
-        grid = remove_overhangs(random_grid(rng), 0)
+        grid = pruned(random_grid(rng), overhang_limit=0)
     grid = OccupancyGrid(GridSpec((0.0, -0.0, 0.0), 5.0, grid.spec.dims), grid.occupied)
     path = plan_toolpath(connectivity_sort(grid), grid, AssemblyConfig(), MotionParams(2.0, 1.0))
     emitted = emit_toolpath(path)
@@ -939,9 +938,9 @@ def test_duration_matches_the_per_segment_walk_bit_for_bit():
 @pytest.mark.parametrize("seed", range(3))
 def test_duration_of_planned_paths_matches_the_per_segment_walk(seed):
     rng = np.random.default_rng([seed, 43])
-    grid = remove_overhangs(random_grid(rng), 0)
+    grid = pruned(random_grid(rng), overhang_limit=0)
     while not grid.occupied:
-        grid = remove_overhangs(random_grid(rng), 0)
+        grid = pruned(random_grid(rng), overhang_limit=0)
     config = AssemblyConfig(source=(-0.0, -20.0, 0.0))
     path = plan_toolpath(connectivity_sort(grid), grid, config, MotionParams(2.0, 1.0))
     for dwell_s, unit_scale in ((0.5, 1.0), (0.0, 3.0), (-0.0, 0.25)):

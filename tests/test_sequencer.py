@@ -1,4 +1,5 @@
-"""Placement ordering: naive sort, connectivity check, connectivity-aware sort."""
+"""Placement ordering: the naive-order reference in ``tests/oracles.py``,
+connectivity check, connectivity-aware sort."""
 from __future__ import annotations
 
 import json
@@ -19,8 +20,8 @@ from blockplan.sequencer import (
     AssemblySequence,
     connectivity_sort,
     face_neighbors,
-    naive_sort,
 )
+from tests.oracles import naive_sort
 
 TABLE_CELLS = (
     [(i, j, 0) for i in (1, 2) for j in (0, 2)]
@@ -66,7 +67,7 @@ def test_sequence_cells_may_be_numpy_integers_and_whole_floats():
     assert {type(v) for cell in seq.cells for v in cell} == {int}
 
 
-# --- naive sort ----------------------------------------------------------
+# --- naive sort (reference) ------------------------------------------------
 
 
 def test_naive_orders_by_layer_then_x_then_y(grid_factory):
@@ -98,13 +99,13 @@ def test_naive_rejects_empty_grid(grid_factory):
 
 def test_check_single_ground_cell(grid_factory):
     grid = grid_factory([(0, 0, 0)])
-    assert check_sequence_connectivity(AssemblySequence(((0, 0, 0),)), grid).passed
+    assert not check_sequence_connectivity(AssemblySequence(((0, 0, 0),)), grid).failed
 
 
 def test_check_vertical_pair_bottom_up(grid_factory):
     grid = grid_factory([(0, 0, 0), (0, 0, 1)])
     seq = AssemblySequence(((0, 0, 0), (0, 0, 1)))
-    assert check_sequence_connectivity(seq, grid).passed
+    assert not check_sequence_connectivity(seq, grid).failed
 
 
 def test_check_vertical_pair_top_down_fails(grid_factory):
@@ -119,7 +120,7 @@ def test_check_ground_cells_need_no_neighbor(grid_factory):
     # Disconnected islands are fine as long as they sit on the ground.
     grid = grid_factory([(0, 0, 0), (5, 4, 0)])
     seq = AssemblySequence(((5, 4, 0), (0, 0, 0)))
-    assert check_sequence_connectivity(seq, grid).passed
+    assert not check_sequence_connectivity(seq, grid).failed
 
 
 def test_check_reports_first_offender(grid_factory):
@@ -190,7 +191,7 @@ def test_sort_rejects_empty_grid(grid_factory):
 def test_sort_solves_the_table(grid_factory):
     grid = grid_factory(TABLE_CELLS, dims=(4, 3, 4))
     seq = connectivity_sort(grid)
-    assert check_sequence_connectivity(seq, grid).passed
+    assert not check_sequence_connectivity(seq, grid).failed
     assert independently_connected(seq)
 
 
@@ -211,7 +212,7 @@ def test_sort_properties_on_random_buildable_grids(buildable_grid_factory):
         layers = [c[2] for c in seq.cells]
         assert layers == sorted(layers)
         assert independently_connected(seq)
-        assert check_sequence_connectivity(seq, grid).passed
+        assert not check_sequence_connectivity(seq, grid).failed
         assert set(naive_sort(grid).cells) == set(seq.cells)
 
 

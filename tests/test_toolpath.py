@@ -300,11 +300,12 @@ def test_duration_counts_gripper_dwells():
 
 
 def test_duration_rejects_bad_arguments():
+    # a path with no grip, so a NaN dwell never reaches the total
     path = Toolpath((move(0, 0, 0),), MotionParams(1.0, 1.0))
-    with pytest.raises(ValueError):
-        estimate_duration(path, dwell_s=-0.1)
-    with pytest.raises(ValueError):
-        estimate_duration(path, unit_scale=0.0)
+    for arguments in ({"dwell_s": -0.1}, {"dwell_s": math.nan}, {"unit_scale": 0.0},
+                      {"unit_scale": math.nan}, {"unit_scale": math.inf}):
+        with pytest.raises(ValueError):
+            estimate_duration(path, **arguments)
 
 
 def test_duration_single_cell_closed_form(grid_factory, config):

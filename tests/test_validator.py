@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from blockplan.config import AssemblyConfig
 from blockplan.errors import SequenceGridMismatch
 from blockplan.feasibility import (
     FeasibilityReport,
@@ -148,3 +149,12 @@ def test_verify_recomputes_checks_not_just_counts(grid_factory, config):
 def test_verify_rejects_empty_grid(grid_factory, config):
     report = FeasibilityReport(results=(), modifications=(), final_component_count=0)
     assert not verify_report_consistency(report, grid_factory([]), config)
+
+
+def test_verify_rejects_grid_over_inventory(grid_factory):
+    # A flat 2 x 2 patch passes the overhang and stack checks and matches the
+    # report's count, so only the inventory tells the two configs apart.
+    grid = grid_factory([(i, j, 0) for i in range(2) for j in range(2)])
+    report = FeasibilityReport(results=(), modifications=(), final_component_count=4)
+    assert verify_report_consistency(report, grid, AssemblyConfig(inventory=4))
+    assert not verify_report_consistency(report, grid, AssemblyConfig(inventory=3))
